@@ -23,7 +23,10 @@ Three modes, selected by which input CSV is given (exactly one):
     kernel's speedup over the bit-sliced scalar kernel falls below
     --min-simd-speedup (default 1.5). Hosts without AVX2 emit no SIMD
     rows and the SIMD gate skips rather than fails, mirroring the
-    single-core convention of the ycsb canary.
+    single-core convention of the ycsb canary. --max-pipeline-ns caps
+    the paper geometry's synchronous pipeline round trip (default 0:
+    not gated); the cap skips rather than fails when this process may
+    run on one CPU only, where the spin-then-park wait never spins.
 
   * --ycsb-csv: the CSV written by `bench/ycsb_run --csv=...` — one
     row per (workload, zipf, engine) with throughput, transaction
@@ -42,7 +45,7 @@ Three modes, selected by which input CSV is given (exactly one):
 Usage:
   bench_summary.py --shards-csv CSV [--loadgen-json FILE] --out FILE
   bench_summary.py --hotpath-csv CSV [--min-speedup X] [--max-allocs N]
-                   --out FILE
+                   [--max-pipeline-ns N] --out FILE
   bench_summary.py --ycsb-csv CSV [--workload W] [--min-occ-ratio X]
                    [--max-abort-rate X] --out FILE
 """
@@ -50,6 +53,7 @@ Usage:
 import argparse
 import csv
 import json
+import os
 import sys
 
 
@@ -175,7 +179,15 @@ def load_hotpath(path):
     return rows
 
 
-def hotpath_headline(rows, min_speedup, max_allocs, min_simd_speedup):
+def single_cpu():
+    """True when this process may run on one CPU only."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) < 2
+    return (os.cpu_count() or 1) < 2
+
+
+def hotpath_headline(rows, min_speedup, max_allocs, min_simd_speedup,
+                     max_pipeline_ns):
     """The acceptance numbers: the paper geometry W=64 / 512-bit.
 
     Two gated ratios on that geometry: the bit-sliced *scalar* kernel
@@ -185,6 +197,12 @@ def hotpath_headline(rows, min_speedup, max_allocs, min_simd_speedup):
     when the sweep actually produced SIMD rows — micro_validate emits
     one row per runtime-available kernel, so their absence means the
     host cannot run them, not that they regressed.
+
+    One gated latency, --max-pipeline-ns: the synchronous pipeline
+    round trip on the same geometry. Both of its waits spin before they
+    park, so it stays near the engine's cost unless a wait outlasts the
+    spin budget and pays a futex wake-up. A single-CPU host never
+    spins, so there the cap is reported but skipped.
     """
     canary = None
     for row in rows:
@@ -212,6 +230,9 @@ def hotpath_headline(rows, min_speedup, max_allocs, min_simd_speedup):
         "allocs_per_validation": worst_allocs,
         "speedup_ok": canary["speedup"] >= min_speedup,
         "allocs_ok": worst_allocs <= max_allocs,
+        "pipeline_ceiling_ns": max_pipeline_ns,
+        "pipeline_ok": (max_pipeline_ns <= 0 or single_cpu()
+                        or canary["pipeline_validate_ns"] <= max_pipeline_ns),
     }
     if best_simd is None:
         headline["simd_kernel"] = None
@@ -235,7 +256,8 @@ def run_hotpath(args):
         "sweep": rows,
         "headline": hotpath_headline(rows, args.min_speedup,
                                      args.max_allocs,
-                                     args.min_simd_speedup),
+                                     args.min_simd_speedup,
+                                     args.max_pipeline_ns),
     }
     with open(args.out, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=False)
@@ -260,7 +282,18 @@ def run_hotpath(args):
             f"{h['simd_floor']:.2f}x) "
             f"{'OK' if h['simd_ok'] else 'REGRESSION'}"
         )
-    return 0 if h["speedup_ok"] and h["allocs_ok"] and h["simd_ok"] else 1
+    ceiling = h["pipeline_ceiling_ns"]
+    if ceiling <= 0:
+        status = "(not gated)"
+    elif single_cpu():
+        status = f"(ceiling {ceiling:.0f} ns) skipped: single CPU"
+    else:
+        status = (f"(ceiling {ceiling:.0f} ns) "
+                  f"{'OK' if h['pipeline_ok'] else 'REGRESSION'}")
+    print(f"pipeline round trip {h['pipeline_validate_ns']:.0f} ns {status}")
+    ok = (h["speedup_ok"] and h["allocs_ok"] and h["simd_ok"]
+          and h["pipeline_ok"])
+    return 0 if ok else 1
 
 
 OPS = ("get", "put", "delete", "scan", "rmw")
@@ -389,6 +422,7 @@ def main():
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--min-simd-speedup", type=float, default=1.5)
     parser.add_argument("--max-allocs", type=float, default=0.0)
+    parser.add_argument("--max-pipeline-ns", type=float, default=0.0)
     parser.add_argument("--workload", default="b")
     parser.add_argument("--min-occ-ratio", type=float, default=1.0)
     parser.add_argument("--max-abort-rate", type=float, default=0.05)

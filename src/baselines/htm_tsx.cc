@@ -21,6 +21,7 @@ struct HtmTsxSim::Descriptor
 
     unsigned thread_id;
     unsigned failed_attempts = 0;
+    uint64_t fallback_seq = 0; ///< fallback_seq_ at attempt start
     std::vector<size_t> read_stripes;  ///< stripes with our reader bit
     std::vector<size_t> write_stripes; ///< stripes we own as writer
     tm::RedoLog redo;
@@ -58,20 +59,28 @@ class HtmTsxSim::TxImpl final : public tm::Tx
         tm::Word value;
         if (!d_.redo.empty() && d_.redo.get(&cell, value)) return value;
 
-        // Acquire shared ownership; a foreign writer loses (requester
-        // wins, as when a load forces the writer's M-state line out of
-        // its cache).
-        const uint32_t writer = stripe.writer.load(std::memory_order_acquire);
+        // Acquire shared ownership: publish the reader bit, then look
+        // for a writer. Both sides are seq_cst (store() publishes the
+        // writer, then scans readers), so of a racing reader and writer
+        // at least one sees the other — acquire/release alone would let
+        // each side's load pass its own store. A foreign writer loses
+        // (requester wins, as when a load forces the writer's M-state
+        // line out of its cache).
+        const uint64_t my_bit = uint64_t{1} << (d_.thread_id & 63);
+        if (!(stripe.readers.load(std::memory_order_relaxed) & my_bit)) {
+            stripe.readers.fetch_or(my_bit, std::memory_order_seq_cst);
+            d_.read_stripes.push_back(idx);
+        }
+        const uint32_t writer = stripe.writer.load(std::memory_order_seq_cst);
         if (writer != 0 && writer != d_.thread_id + 1) {
             rt_.doom(writer - 1);
         }
-        const uint64_t my_bit = uint64_t{1} << (d_.thread_id & 63);
-        if (!(stripe.readers.load(std::memory_order_relaxed) & my_bit)) {
-            stripe.readers.fetch_or(my_bit, std::memory_order_acq_rel);
-            d_.read_stripes.push_back(idx);
-        }
         ++d_.accesses;
-        return cell.value.load(std::memory_order_acquire);
+        value = cell.value.load(std::memory_order_acquire);
+        // A writer that doomed us before writing back this value is
+        // visible now: abort rather than hand the body a torn view.
+        check_doom();
+        return value;
     }
 
     void
@@ -83,17 +92,17 @@ class HtmTsxSim::TxImpl final : public tm::Tx
         Stripe& stripe = rt_.stripes_[idx];
 
         // Exclusive ownership: doom every foreign reader and writer
-        // (the store invalidates their lines).
-        const uint32_t me = d_.thread_id + 1;
-        uint32_t writer = stripe.writer.load(std::memory_order_acquire);
-        if (writer != me) {
-            if (writer != 0) rt_.doom(writer - 1);
-            stripe.writer.store(me, std::memory_order_release);
+        // (the store invalidates their lines). Publishing the writer
+        // slot before scanning readers is the other half of load()'s
+        // seq_cst handshake.
+        if (stripe.writer.load(std::memory_order_relaxed) !=
+            d_.thread_id + 1) {
+            rt_.acquire_writer(stripe, d_.thread_id);
             d_.write_stripes.push_back(idx);
         }
         const uint64_t my_bit = uint64_t{1} << (d_.thread_id & 63);
         uint64_t readers =
-            stripe.readers.load(std::memory_order_acquire) & ~my_bit;
+            stripe.readers.load(std::memory_order_seq_cst) & ~my_bit;
         while (readers != 0) {
             const unsigned victim = std::countr_zero(readers);
             rt_.doom(victim);
@@ -116,14 +125,19 @@ class HtmTsxSim::TxImpl final : public tm::Tx
 
   private:
     void
-    check_doom_and_capacity()
+    check_doom()
     {
-        if (rt_.doomed_[d_.thread_id].load(std::memory_order_acquire) ||
-            rt_.fallback_active_.load(std::memory_order_acquire)) {
+        if (rt_.doomed(d_)) {
             d_.stats.bump(tm::stat::kConflictAborts);
             d_.last_abort = obs::AbortReason::kConflict;
             throw tm::TxAbortException{};
         }
+    }
+
+    void
+    check_doom_and_capacity()
+    {
+        check_doom();
         if (d_.accesses > rt_.config_.read_capacity) capacity_abort();
     }
 
@@ -186,7 +200,36 @@ HtmTsxSim::descriptor()
 void
 HtmTsxSim::doom(unsigned victim)
 {
+    std::lock_guard<std::mutex> lock(commit_mutex_);
     doomed_[victim].store(1, std::memory_order_release);
+}
+
+void
+HtmTsxSim::acquire_writer(Stripe& stripe, unsigned thread_id)
+{
+    const uint32_t me = thread_id + 1;
+    uint32_t owner = 0;
+    if (stripe.writer.compare_exchange_strong(owner, me,
+                                              std::memory_order_seq_cst)) {
+        return;
+    }
+    // Take the slot from its owner and doom it in one step with respect
+    // to commits. An owner in write-back therefore keeps its slot until
+    // it is done, and a reader that sees the slot dooms (and so waits
+    // for) the transaction actually writing the stripe — not a thief
+    // whose takeover hid the committing owner.
+    std::lock_guard<std::mutex> lock(commit_mutex_);
+    owner = stripe.writer.exchange(me, std::memory_order_seq_cst);
+    if (owner != 0 && owner != me) {
+        doomed_[owner - 1].store(1, std::memory_order_release);
+    }
+}
+
+bool
+HtmTsxSim::doomed(const Descriptor& d) const
+{
+    return doomed_[d.thread_id].load(std::memory_order_acquire) != 0 ||
+           fallback_seq_.load(std::memory_order_acquire) != d.fallback_seq;
 }
 
 void
@@ -208,7 +251,8 @@ bool
 HtmTsxSim::speculative_attempt(const std::function<void(tm::Tx&)>& body,
                                Descriptor& d)
 {
-    while (fallback_active_.load(std::memory_order_acquire)) {
+    while ((d.fallback_seq = fallback_seq_.load(std::memory_order_acquire)) &
+           1) {
         std::this_thread::yield();
     }
     d.reset();
@@ -218,11 +262,10 @@ HtmTsxSim::speculative_attempt(const std::function<void(tm::Tx&)>& body,
     bool committed = false;
     try {
         body(tx);
-        // Commit decision is serialized against doom() effects and the
-        // fallback barrier.
+        // Commit decision and write-back are serialized against doom()
+        // and the fallback barrier.
         std::lock_guard<std::mutex> lock(commit_mutex_);
-        if (!doomed_[d.thread_id].load(std::memory_order_acquire) &&
-            !fallback_active_.load(std::memory_order_acquire)) {
+        if (!doomed(d)) {
             d.redo.apply();
             committed = true;
         } else {
@@ -243,7 +286,7 @@ HtmTsxSim::fallback_execute(const std::function<void(tm::Tx&)>& body,
 {
     // Global-lock fallback: exclusive, non-speculative execution.
     std::lock_guard<std::mutex> serial(fallback_mutex_);
-    fallback_active_.store(1, std::memory_order_release);
+    fallback_seq_.fetch_add(1, std::memory_order_acq_rel);
     {
         // Barrier: wait out any in-flight speculative commit.
         std::lock_guard<std::mutex> barrier(commit_mutex_);
@@ -276,10 +319,10 @@ HtmTsxSim::fallback_execute(const std::function<void(tm::Tx&)>& body,
         // A retry() under the fallback lock cannot make progress by
         // waiting (we are serial); surface it as a commit of a no-op
         // retry loop by re-running the body until it succeeds.
-        fallback_active_.store(0, std::memory_order_release);
+        fallback_seq_.fetch_add(1, std::memory_order_acq_rel);
         throw;
     }
-    fallback_active_.store(0, std::memory_order_release);
+    fallback_seq_.fetch_add(1, std::memory_order_acq_rel);
     d.stats.bump(tm::stat::kFallbackCommits);
     d.stats.bump(tm::stat::kCommits);
 }

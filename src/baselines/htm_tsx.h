@@ -78,16 +78,31 @@ class HtmTsxSim final : public tm::TmRuntime
     void fallback_execute(const std::function<void(tm::Tx&)>& body,
                           Descriptor& d);
     void release_footprint(Descriptor& d);
+    /// Doom @p victim's current attempt. Serialized with commit
+    /// decisions: a victim that already passed its commit check has
+    /// finished writing back by the time doom() returns, so the
+    /// requester then reads the committed values, never a half-applied
+    /// redo log.
     void doom(unsigned victim);
+    /// Make @p thread_id the writer of @p stripe, dooming a foreign
+    /// owner (serialized with commits, like doom()).
+    void acquire_writer(Stripe& stripe, unsigned thread_id);
+    /// True once @p d's attempt is doomed or a fallback transaction
+    /// has started since it began.
+    bool doomed(const Descriptor& d) const;
 
     HtmConfig config_;
     std::vector<Stripe> stripes_;
     std::unique_ptr<std::atomic<uint32_t>[]> doomed_;
 
-    /// Serializes doom vs. commit decisions (slow paths only).
+    /// Serializes doom() against commit decision + write-back.
     std::mutex commit_mutex_;
-    /// Set while a fallback (non-speculative) transaction runs.
-    std::atomic<uint32_t> fallback_active_{0};
+    /// Fallback sequence: odd while a fallback (non-speculative)
+    /// transaction runs, bumped at its start and end. A speculative
+    /// attempt aborts once the sequence moves past the value it started
+    /// with, even if the fallback already finished — the fallback's
+    /// direct writes never doom anyone, so that is how they are seen.
+    std::atomic<uint64_t> fallback_seq_{0};
     std::mutex fallback_mutex_;
 
     mutable std::mutex stats_mutex_;

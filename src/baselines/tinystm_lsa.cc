@@ -75,11 +75,17 @@ class TinyStmLsa::TxImpl final : public tm::Tx
             if (v1 != v2) continue; // raced with a writer; re-read
 
             if (LockTable::version_of(v1) > d_.snapshot) {
-                // LSA snapshot extension.
+                // LSA snapshot extension, then re-read: the extended
+                // snapshot may be newer than this read (a committer
+                // that took its timestamp after v1 was written may
+                // still be writing back), so the value just read is
+                // only known valid at the old version, not the new
+                // snapshot.
                 if (!extend_snapshot()) {
                     abort_tx(tm::stat::kStaleAborts,
                              obs::AbortReason::kSnapshotStale);
                 }
+                continue;
             }
             d_.read_set.push_back({&lock, LockTable::version_of(v1)});
             return value;

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/spin_wait.h"
 #include "obs/clock.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
@@ -47,6 +48,7 @@ void
 ValidationPipeline::release_slot_locked(Slot* slot)
 {
     slot->state = Slot::State::kFree;
+    slot->done.store(false, std::memory_order_relaxed);
     slot->promised = false;
     free_.push_back(slot);
 }
@@ -66,6 +68,7 @@ ValidationPipeline::push_ring_locked(Slot* slot)
     }
     ring_[(ring_head_ + ring_size_) % ring_.size()] = slot;
     ++ring_size_;
+    queued_.store(ring_size_, std::memory_order_release);
 }
 
 ValidationPipeline::Slot*
@@ -74,6 +77,7 @@ ValidationPipeline::pop_ring_locked()
     Slot* slot = ring_[ring_head_];
     ring_head_ = (ring_head_ + 1) % ring_.size();
     --ring_size_;
+    queued_.store(ring_size_, std::memory_order_release);
     return slot;
 }
 
@@ -97,7 +101,10 @@ ValidationPipeline::worker_loop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        queue_cv_.wait(lock, [this] { return closed_ || ring_size_ > 0; });
+        spin_then_wait(lock, queue_cv_, [this] {
+            return queued_.load(std::memory_order_acquire) > 0 ||
+                   closed_.load(std::memory_order_acquire);
+        });
         if (ring_size_ == 0) break; // closed and drained
         Slot* slot = pop_ring_locked();
         const uint64_t submit_ns = slot->submit_ns;
@@ -154,6 +161,7 @@ ValidationPipeline::worker_loop()
         } else {
             slot->result = result;
             slot->state = Slot::State::kDone;
+            slot->done.store(true, std::memory_order_release);
             slot->cv.notify_one();
         }
         lock.unlock();
@@ -203,7 +211,9 @@ ValidationPipeline::validate(OffloadRequest request)
                 obs::AbortReason::kBackpressure};
     }
     queue_cv_.notify_one();
-    slot->cv.wait(lock, [slot] { return slot->state == Slot::State::kDone; });
+    spin_then_wait(lock, slot->cv, [slot] {
+        return slot->done.load(std::memory_order_acquire);
+    });
     const core::ValidationResult result = slot->result;
     release_slot_locked(slot);
     return result;
@@ -221,23 +231,21 @@ ValidationPipeline::validate(OffloadRequest request,
     }
     queue_cv_.notify_one();
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (slot->state != Slot::State::kDone) {
-        if (slot->cv.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-            // Deadline passed. The deadline is authoritative even if
-            // the verdict landed while this thread was re-acquiring
-            // the mutex: a verdict past the deadline is discarded (see
-            // the header caveat), keeping zero-deadline calls
-            // deterministic.
-            ++timeouts_;
-            if (slot->state == Slot::State::kDone) {
-                release_slot_locked(slot);
-            } else {
-                // The worker recycles the slot when it gets there.
-                slot->state = Slot::State::kAbandoned;
-            }
-            return {core::Verdict::kTimeout, 0, obs::AbortReason::kTimeout};
+    if (!spin_then_wait_until(lock, slot->cv, deadline, [slot] {
+            return slot->done.load(std::memory_order_acquire);
+        })) {
+        // Deadline passed. The deadline is authoritative even if the
+        // verdict landed while this thread was re-acquiring the mutex:
+        // a verdict past the deadline is discarded (see the header
+        // caveat), keeping zero-deadline calls deterministic.
+        ++timeouts_;
+        if (slot->state == Slot::State::kDone) {
+            release_slot_locked(slot);
+        } else {
+            // The worker recycles the slot when it gets there.
+            slot->state = Slot::State::kAbandoned;
         }
+        return {core::Verdict::kTimeout, 0, obs::AbortReason::kTimeout};
     }
     const core::ValidationResult result = slot->result;
     release_slot_locked(slot);
@@ -352,6 +360,7 @@ ValidationPipeline::stop()
             } else {
                 slot->result = rejected;
                 slot->state = Slot::State::kDone;
+                slot->done.store(true, std::memory_order_release);
                 slot->cv.notify_one();
             }
         }

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/spin_wait.h"
 #include "obs/clock.h"
 #include "obs/tracer.h"
 
@@ -121,6 +122,7 @@ void
 ValidationClient::release_slot_locked(Slot* slot)
 {
     slot->state = Slot::State::kFree;
+    slot->done.store(false, std::memory_order_relaxed);
     slot->promised = false;
     // Every acquired slot had its id assigned in send_locked() before
     // any release path can run, so the id's low bits are the index.
@@ -229,7 +231,9 @@ ValidationClient::validate(fpga::OffloadRequest request)
     std::unique_lock<std::mutex> lock(mutex_);
     Slot* slot = send_locked(std::move(request), 0, enter_ns);
     if (slot == nullptr) return rejected_result();
-    slot->cv.wait(lock, [slot] { return slot->state == Slot::State::kDone; });
+    spin_then_wait(lock, slot->cv, [slot] {
+        return slot->done.load(std::memory_order_acquire);
+    });
     const core::ValidationResult result = slot->result;
     release_slot_locked(slot);
     return result;
@@ -246,16 +250,16 @@ ValidationClient::validate(fpga::OffloadRequest request,
     std::unique_lock<std::mutex> lock(mutex_);
     Slot* slot = send_locked(std::move(request), deadline_ns, enter_ns);
     if (slot == nullptr) return rejected_result();
-    while (slot->state != Slot::State::kDone) {
-        if (slot->cv.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-            if (slot->state == Slot::State::kDone) break; // verdict won
-            // Abandon the slot so the reader discards (and recycles)
-            // the late verdict.
-            slot->state = Slot::State::kAbandoned;
-            timeout_.add(1);
-            return {core::Verdict::kTimeout, 0, obs::AbortReason::kTimeout};
-        }
+    if (!spin_then_wait_until(lock, slot->cv, deadline, [slot] {
+            return slot->done.load(std::memory_order_acquire);
+        }) &&
+        slot->state != Slot::State::kDone) {
+        // Abandon the slot so the reader discards (and recycles) the
+        // late verdict. A verdict that landed by the time the lock was
+        // re-taken wins.
+        slot->state = Slot::State::kAbandoned;
+        timeout_.add(1);
+        return {core::Verdict::kTimeout, 0, obs::AbortReason::kTimeout};
     }
     const core::ValidationResult result = slot->result;
     release_slot_locked(slot);
@@ -345,6 +349,7 @@ ValidationClient::reader_loop()
             } else {
                 slot->result = response->result;
                 slot->state = Slot::State::kDone;
+                slot->done.store(true, std::memory_order_release);
                 slot->cv.notify_one();
             }
             lock.unlock();
@@ -371,6 +376,7 @@ ValidationClient::fail_outstanding()
                 } else {
                     slot.result = rejected_result();
                     slot.state = Slot::State::kDone;
+                    slot.done.store(true, std::memory_order_release);
                     slot.cv.notify_one();
                 }
             } else if (slot.state == Slot::State::kAbandoned) {

@@ -18,7 +18,10 @@
 /// response in O(1) with no map), the encode buffer is reused across
 /// calls, and synchronous validate() waits on the slot's condition
 /// variable instead of a heap-allocated promise. submit() still hands
-/// out a std::future (allocating its shared state).
+/// out a std::future (allocating its shared state). That wait spins
+/// briefly on the slot's atomic done flag before parking
+/// (common/spin_wait.h), so a verdict that arrives within the spin
+/// budget costs no futex wake-up of the waiting thread.
 ///
 /// Failure contract (mirrors ValidationPipeline): no caller ever sees a
 /// broken promise. Disconnect or stop() resolves every outstanding
@@ -33,6 +36,7 @@
 /// verdict is then discarded by the reader.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -127,6 +131,9 @@ class ValidationClient final : public fpga::ValidationBackend
         uint64_t enter_ns = 0; ///< submit() entry (rpc_ns starts here)
         uint64_t sent_ns = 0;  ///< last frame byte handed to the kernel
         std::condition_variable cv; ///< signals kDone to a sync waiter
+        /// Mirrors state == kDone for the waiter's unlocked spin;
+        /// written under mutex_ together with state.
+        std::atomic<bool> done{false};
     };
 
     /// Acquire a slot, encode and send the request; requires mutex_.

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <thread>
 
 #include "common/rng.h"
+#include "common/spin_wait.h"
 #include "core/rococo_validator.h"
 #include "fpga/cci_link.h"
 #include "fpga/resource_model.h"
@@ -340,6 +342,119 @@ TEST(Pipeline, ValidateWithGenerousDeadlineStillCommits)
     EXPECT_EQ(r.verdict, core::Verdict::kCommit);
     EXPECT_EQ(pipeline.stats().get("timeout"), 0u);
     pipeline.stop();
+}
+
+/// Queue a backlog of @p n disjoint-write requests through submit():
+/// at engine speed it keeps the worker busy far longer than the spin
+/// budget, so a request queued behind it cannot be answered while its
+/// waiter is still spinning.
+std::vector<std::future<core::ValidationResult>>
+submit_backlog(ValidationPipeline& pipeline, uint64_t n)
+{
+    std::vector<std::future<core::ValidationResult>> backlog;
+    backlog.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+        backlog.push_back(pipeline.submit({{}, {i}, ~uint64_t{0} >> 1}));
+    }
+    return backlog;
+}
+
+TEST(Pipeline, VerdictPastTheSpinBudgetArrivesThroughPark)
+{
+    // Sync waiters queued behind a backlog outlast their spin and park;
+    // each must still be woken with its real verdict.
+    ValidationPipeline pipeline;
+    auto backlog = submit_backlog(pipeline, 4096);
+    constexpr int kWaiters = 4;
+    std::atomic<int> commits{0};
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> waiters;
+    for (int t = 0; t < kWaiters; ++t) {
+        waiters.emplace_back([&, t] {
+            const auto r = pipeline.validate(
+                {{}, {uint64_t{1} << 40 | uint64_t(t)}, ~uint64_t{0} >> 1});
+            if (r.verdict == core::Verdict::kCommit) ++commits;
+        });
+    }
+    for (auto& waiter : waiters) waiter.join();
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_GT(waited, kSpinBudget) << "backlog drained within the spin "
+                                      "budget; the park path was not hit";
+    EXPECT_EQ(commits.load(), kWaiters);
+    for (auto& future : backlog) {
+        EXPECT_EQ(future.get().verdict, core::Verdict::kCommit);
+    }
+    const CounterBag bag = pipeline.stats();
+    EXPECT_EQ(bag.get("commit"), bag.get("submitted"));
+    EXPECT_EQ(bag.get("submitted"), 4096u + kWaiters);
+    pipeline.stop();
+}
+
+TEST(Pipeline, StopResolvesSpinningWaitersWithRejection)
+{
+    ValidationPipeline pipeline;
+    constexpr uint64_t kBacklog = 16384;
+    auto backlog = submit_backlog(pipeline, kBacklog);
+    constexpr int kWaiters = 4;
+    std::vector<core::ValidationResult> results(kWaiters);
+    std::vector<std::thread> waiters;
+    for (int t = 0; t < kWaiters; ++t) {
+        waiters.emplace_back([&, t] {
+            results[t] = pipeline.validate(
+                {{}, {uint64_t{1} << 40 | uint64_t(t)}, ~uint64_t{0} >> 1});
+        });
+    }
+    // Stop as soon as every waiter is queued: they are spinning (or just
+    // parked) at the back of a backlog the worker is far from draining.
+    while (pipeline.stats().get("submitted") < kBacklog + kWaiters) {
+        std::this_thread::yield();
+    }
+    pipeline.stop();
+    for (auto& waiter : waiters) waiter.join(); // none hangs
+    for (const auto& r : results) {
+        if (!spin_allowed() && r.verdict == core::Verdict::kCommit) {
+            // One CPU: the worker ran while this thread polled, and
+            // nothing spins there anyway.
+            continue;
+        }
+        EXPECT_EQ(r.verdict, core::Verdict::kRejected);
+        EXPECT_EQ(r.reason, obs::AbortReason::kBackpressure);
+    }
+    for (auto& future : backlog) future.get();
+    const CounterBag bag = pipeline.stats();
+    EXPECT_EQ(bag.get("commit") + bag.get("shutdown_aborts"),
+              bag.get("submitted"));
+}
+
+TEST(Pipeline, DeadlineShorterThanTheSpinBudgetIsHonoured)
+{
+    // The deadline, not the spin budget, bounds a timed wait: with the
+    // verdict stuck behind a backlog, validate(req, d) must return
+    // kTimeout about d after the call, not after the budget. The
+    // minimum over a few calls filters out scheduler preemption.
+    ValidationPipeline pipeline;
+    auto backlog = submit_backlog(pipeline, 8192);
+    constexpr auto kDeadline = kSpinBudget / 10;
+    auto fastest = std::chrono::steady_clock::duration::max();
+    constexpr int kCalls = 5;
+    for (int i = 0; i < kCalls; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const auto r = pipeline.validate(
+            {{}, {uint64_t{1} << 40 | uint64_t(i)}, ~uint64_t{0} >> 1},
+            kDeadline);
+        fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+        EXPECT_EQ(r.verdict, core::Verdict::kTimeout);
+        EXPECT_EQ(r.reason, obs::AbortReason::kTimeout);
+    }
+    EXPECT_GE(fastest, kDeadline);
+    // Without a spin (one CPU) the wait is a timed futex sleep, whose
+    // timer slack alone can exceed the budget.
+    if (spin_allowed()) {
+        EXPECT_LT(fastest, kSpinBudget);
+    }
+    EXPECT_EQ(pipeline.stats().get("timeout"), uint64_t(kCalls));
+    pipeline.stop();
+    for (auto& future : backlog) future.get();
 }
 
 TEST(Pipeline, StatsSnapshotIsConsistentUnderConcurrentReads)

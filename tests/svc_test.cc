@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/spin_wait.h"
 #include "obs/tracer.h"
 #include "svc/client.h"
 #include "svc/server.h"
@@ -971,6 +973,181 @@ TEST(SvcClient, TimesOutLocallyAgainstSilentServer)
     close(conn);
     close(listen_fd);
     unlink(path.c_str());
+}
+
+/// A hand-driven server end: accepts one client and lets the test read
+/// its requests and answer them when it chooses, so a verdict can be
+/// held back past the client's spin budget.
+class ScriptedServer
+{
+  public:
+    explicit ScriptedServer(const char* tag)
+        : path_(test_socket_path(tag))
+    {
+        listen_fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path_.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        unlink(path_.c_str());
+        bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+        listen(listen_fd_, 1);
+    }
+
+    ~ScriptedServer()
+    {
+        if (conn_ >= 0) close(conn_);
+        close(listen_fd_);
+        unlink(path_.c_str());
+    }
+
+    ScriptedServer(const ScriptedServer&) = delete;
+    ScriptedServer& operator=(const ScriptedServer&) = delete;
+
+    const std::string& path() const { return path_; }
+
+    /// Accept the client's connection (call after constructing it).
+    bool
+    accept_client()
+    {
+        conn_ = accept(listen_fd_, nullptr, nullptr);
+        return conn_ >= 0;
+    }
+
+    /// Block until @p n more requests have arrived; returns their ids.
+    std::vector<uint64_t>
+    read_requests(size_t n)
+    {
+        std::vector<uint64_t> ids;
+        uint8_t buf[64 * 1024];
+        while (ids.size() < n) {
+            while (auto frame = reader_.next()) {
+                auto request = decode_request(frame->type, frame->payload,
+                                              frame->size);
+                if (request) ids.push_back(request->request_id);
+            }
+            if (ids.size() >= n) break;
+            const ssize_t got = recv(conn_, buf, sizeof(buf), 0);
+            if (got <= 0) break;
+            reader_.append(buf, static_cast<size_t>(got));
+        }
+        return ids;
+    }
+
+    /// Answer every request in @p ids with a commit verdict.
+    void
+    commit_all(const std::vector<uint64_t>& ids)
+    {
+        std::vector<uint8_t> bytes;
+        for (size_t i = 0; i < ids.size(); ++i) {
+            WireResponse response;
+            response.request_id = ids[i];
+            response.result = {core::Verdict::kCommit, i + 1,
+                               obs::AbortReason::kNone};
+            encode_response(bytes, response);
+        }
+        ASSERT_EQ(send(conn_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()));
+    }
+
+  private:
+    std::string path_;
+    int listen_fd_ = -1;
+    int conn_ = -1;
+    FrameReader reader_;
+};
+
+TEST(SvcClient, VerdictPastTheSpinBudgetArrivesThroughPark)
+{
+    ScriptedServer server("park");
+    ClientConfig config;
+    config.socket_path = server.path();
+    ValidationClient client(config);
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(server.accept_client());
+
+    constexpr int kWaiters = 4;
+    std::vector<core::ValidationResult> results(kWaiters);
+    std::vector<std::thread> waiters;
+    for (int t = 0; t < kWaiters; ++t) {
+        waiters.emplace_back([&, t] {
+            results[t] = client.validate({{}, {uint64_t(t)}, 0});
+        });
+    }
+    const auto ids = server.read_requests(kWaiters);
+    ASSERT_EQ(ids.size(), size_t{kWaiters});
+    // Hold the verdicts well past the spin budget: every waiter parks.
+    std::this_thread::sleep_for(100 * kSpinBudget);
+    server.commit_all(ids);
+    for (auto& waiter : waiters) waiter.join();
+    for (const auto& r : results) {
+        EXPECT_EQ(r.verdict, core::Verdict::kCommit);
+    }
+    const CounterBag bag = client.stats();
+    EXPECT_EQ(bag.get("submitted"), uint64_t{kWaiters});
+    EXPECT_EQ(bag.get("commit"), bag.get("submitted"));
+    client.stop();
+}
+
+TEST(SvcClient, StopResolvesSpinningWaitersWithRejection)
+{
+    ScriptedServer server("spinstop");
+    ClientConfig config;
+    config.socket_path = server.path();
+    ValidationClient client(config);
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(server.accept_client());
+
+    constexpr int kWaiters = 4;
+    std::vector<core::ValidationResult> results(kWaiters);
+    std::vector<std::thread> waiters;
+    for (int t = 0; t < kWaiters; ++t) {
+        waiters.emplace_back([&, t] {
+            results[t] = client.validate({{}, {uint64_t(t)}, 0});
+        });
+    }
+    // Every request is on the wire and unanswered: stop while the
+    // waiters spin (or have just parked).
+    ASSERT_EQ(server.read_requests(kWaiters).size(), size_t{kWaiters});
+    client.stop();
+    for (auto& waiter : waiters) waiter.join(); // none hangs
+    for (const auto& r : results) {
+        EXPECT_EQ(r.verdict, core::Verdict::kRejected);
+        EXPECT_EQ(r.reason, obs::AbortReason::kBackpressure);
+    }
+    EXPECT_EQ(client.stats().get("rejected"), uint64_t{kWaiters});
+}
+
+TEST(SvcClient, DeadlineShorterThanTheSpinBudgetIsHonoured)
+{
+    // A silent server: validate(req, d) must give up about d after the
+    // call, not after the spin budget. The minimum over a few calls
+    // filters out scheduler preemption.
+    ScriptedServer server("spindeadline");
+    ClientConfig config;
+    config.socket_path = server.path();
+    ValidationClient client(config);
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(server.accept_client());
+
+    constexpr auto kDeadline = kSpinBudget / 10;
+    auto fastest = std::chrono::steady_clock::duration::max();
+    constexpr int kCalls = 5;
+    for (int i = 0; i < kCalls; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const auto r = client.validate({{}, {uint64_t(i)}, 0}, kDeadline);
+        fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+        EXPECT_EQ(r.verdict, core::Verdict::kTimeout);
+        EXPECT_EQ(r.reason, obs::AbortReason::kTimeout);
+    }
+    EXPECT_GE(fastest, kDeadline);
+    // Without a spin (one CPU) the wait is a timed futex sleep, whose
+    // timer slack alone can exceed the budget.
+    if (spin_allowed()) {
+        EXPECT_LT(fastest, kSpinBudget);
+    }
+    EXPECT_EQ(client.stats().get("timeout"), uint64_t{kCalls});
+    client.stop();
 }
 
 TEST(SvcClient, ServerShutdownResolvesOutstandingFutures)

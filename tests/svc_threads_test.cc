@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -244,6 +245,14 @@ TEST(SvcThreads, StatsAndSeriesFloodDuringWorkerTraffic)
     }
     close(fd);
 
+    // On a loaded host the 50 rounds can finish before the traffic
+    // thread is first scheduled; give it time to complete one pump so
+    // the check below tests the traffic, not the scheduler.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (pumped.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+    }
     stop_traffic.store(true, std::memory_order_relaxed);
     traffic.join();
     EXPECT_GT(pumped.load(), 0u);
