@@ -408,8 +408,21 @@ check_history(KvInterface& store, const OracleConfig& config,
     EXPECT_EQ(ops_total, metrics.get("kv.txn.commits"));
 }
 
-class KvOracleTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>>
+struct OracleParam
+{
+    const char* engine;
+    double zipf;
+};
+
+// Names the test case "occ_zipf0.99". gtest would print a const char*
+// inside a tuple as its address, which changes from run to run.
+void
+PrintTo(const OracleParam& param, std::ostream* os)
+{
+    *os << param.engine << "_zipf" << param.zipf;
+}
+
+class KvOracleTest : public ::testing::TestWithParam<OracleParam>
 {
 };
 
@@ -423,10 +436,11 @@ TEST_P(KvOracleTest, ConcurrentRmwAndScanHistoriesAreSerializable)
     check_history(*store, config, history);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, KvOracleTest,
-    ::testing::Combine(::testing::Values("occ", "2pl"),
-                       ::testing::Values(0.0, 0.99)));
+INSTANTIATE_TEST_SUITE_P(Engines, KvOracleTest,
+                         ::testing::Values(OracleParam{"occ", 0.0},
+                                           OracleParam{"occ", 0.99},
+                                           OracleParam{"2pl", 0.0},
+                                           OracleParam{"2pl", 0.99}));
 
 // ---------------------------------------------------------------------
 // OCC-specific concurrency: inserts racing for slots.
