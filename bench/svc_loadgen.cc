@@ -62,19 +62,8 @@
 /// snapshot in Prometheus text exposition format (the node-exporter
 /// textfile-collector shape) and narrows the sweep to its first cell.
 ///
-/// Server threading (--server-threads=0,N,...): each value spawns the
-/// server with that many engine workers (0 = the single-threaded
-/// inline mode) and sweeps it like clients/batch, so one run compares
-/// the threading modes directly. --assert-mt-speedup=X turns the run
-/// into a perf canary: the best multi-threaded cell must beat the best
-/// single-threaded cell by factor X, or the process exits 1. On a host
-/// without at least 2 CPUs the comparison is meaningless and the run
-/// exits 77 (the ctest skip code) instead — the same skip-not-fail
-/// convention the YCSB canary uses for its multicore claim.
-///
 /// Usage:
 ///   svc_loadgen [--clients=1,2,4,8] [--batch=1,8,32] [--shards=1]
-///               [--server-threads=0] [--assert-mt-speedup=X]
 ///               [--requests=20000] [--outstanding=16] [--reads=4]
 ///               [--writes=2] [--keys=4096] [--stages=1]
 ///               [--tm-threads=N] [--zipf=THETA] [--hot-keys=N]
@@ -353,7 +342,6 @@ struct SweepRow
 {
     size_t clients;
     size_t batch;
-    uint32_t server_threads = 0; ///< engine workers (0 = inline mode)
     uint64_t completed = 0;
     uint64_t commits = 0;
     uint64_t aborts = 0;
@@ -371,13 +359,12 @@ struct SweepRow
 
 SweepRow
 run_one(const LoadConfig& load, size_t clients, size_t batch,
-        uint32_t server_threads, const std::string& telemetry_client)
+        const std::string& telemetry_client)
 {
     svc::ServerConfig server_config;
     server_config.socket_path = load.socket_path;
     server_config.max_batch = batch;
     server_config.shards = load.shards;
-    server_config.worker_threads = server_threads;
     if (!load.recorder_out.empty()) {
         server_config.recorder.enabled = true;
         server_config.recorder.output_prefix = load.recorder_out;
@@ -440,7 +427,6 @@ run_one(const LoadConfig& load, size_t clients, size_t batch,
     SweepRow row;
     row.clients = clients;
     row.batch = batch;
-    row.server_threads = server_threads;
     std::vector<uint64_t> p50s, p95s, p99s;
     std::vector<uint64_t> stage_p50s[kStageCount];
     for (size_t c = 0; c < clients; ++c) {
@@ -569,8 +555,7 @@ main(int argc, char** argv)
     using namespace rococo;
 
     Cli cli(argc, argv,
-            {"clients", "batch", "shards", "server-threads",
-             "assert-mt-speedup", "requests", "outstanding",
+            {"clients", "batch", "shards", "requests", "outstanding",
              "reads", "writes", "keys", "socket", "csv", "stages",
              "tm-threads", "telemetry-server", "telemetry-client",
              "zipf", "hot-keys", "recorder-out", "abort-rate-trigger",
@@ -608,21 +593,6 @@ main(int argc, char** argv)
     std::vector<int> client_counts =
         cli.get_int_list("clients", {1, 2, 4, 8});
     std::vector<int> batches = cli.get_int_list("batch", {1, 8, 32});
-    std::vector<int> server_threads = cli.get_int_list("server-threads",
-                                                       {0});
-    const double assert_mt_speedup =
-        cli.get_double("assert-mt-speedup", 0.0);
-    if (assert_mt_speedup > 0 &&
-        std::thread::hardware_concurrency() < 2) {
-        // A worker pool cannot beat the inline mode with one CPU to
-        // run both on; the multicore claim is untestable here. 77 is
-        // ctest's skip code (SKIP_RETURN_CODE), mirroring the YCSB
-        // canary's single-core convention.
-        std::fprintf(stderr,
-                     "svc_loadgen: single-core host, skipping the"
-                     " multi-threaded speedup assertion\n");
-        return 77;
-    }
     if (load.tm_threads > 0) {
         // One RococoTm process per server: the cid-ordered commit log
         // is per-process state (see docs/SERVICE.md § Limitations).
@@ -638,36 +608,30 @@ main(int argc, char** argv)
         batches.resize(1);
     }
 
-    Table table({"sthreads", "clients", "batch", "kreq/s", "p50_us",
+    Table table({"clients", "batch", "kreq/s", "p50_us",
                  "p95_us", "p99_us", "commit%", "abort%", "elapsed_ms"});
     std::vector<SweepRow> rows;
-    for (int sthreads : server_threads) {
-        for (int clients : client_counts) {
-            for (int batch : batches) {
-                // Inert when the path is empty; resets + collects the
-                // server-side (parent process) half of the capture.
-                obs::TelemetrySession server_session(telemetry_server);
-                const SweepRow row = run_one(
-                    load, static_cast<size_t>(clients),
-                    static_cast<size_t>(batch),
-                    static_cast<uint32_t>(std::max(0, sthreads)),
-                    telemetry_client);
-                if (!server_session.finish()) return 1;
-                rows.push_back(row);
-                const double done =
-                    double(std::max<uint64_t>(row.completed, 1));
-                table.row()
-                    .num(static_cast<uint64_t>(row.server_threads))
-                    .num(static_cast<uint64_t>(row.clients))
-                    .num(static_cast<uint64_t>(row.batch))
-                    .num(row.kreq_s, 1)
-                    .num(double(row.p50_ns) / 1e3, 1)
-                    .num(double(row.p95_ns) / 1e3, 1)
-                    .num(double(row.p99_ns) / 1e3, 1)
-                    .num(100.0 * double(row.commits) / done, 1)
-                    .num(100.0 * double(row.aborts) / done, 1)
-                    .num(row.elapsed_ms, 1);
-            }
+    for (int clients : client_counts) {
+        for (int batch : batches) {
+            // Inert when the path is empty; resets + collects the
+            // server-side (parent process) half of the capture.
+            obs::TelemetrySession server_session(telemetry_server);
+            const SweepRow row =
+                run_one(load, static_cast<size_t>(clients),
+                        static_cast<size_t>(batch), telemetry_client);
+            if (!server_session.finish()) return 1;
+            rows.push_back(row);
+            const double done = double(std::max<uint64_t>(row.completed, 1));
+            table.row()
+                .num(static_cast<uint64_t>(row.clients))
+                .num(static_cast<uint64_t>(row.batch))
+                .num(row.kreq_s, 1)
+                .num(double(row.p50_ns) / 1e3, 1)
+                .num(double(row.p95_ns) / 1e3, 1)
+                .num(double(row.p99_ns) / 1e3, 1)
+                .num(100.0 * double(row.commits) / done, 1)
+                .num(100.0 * double(row.aborts) / done, 1)
+                .num(row.elapsed_ms, 1);
         }
     }
     table.print();
@@ -678,9 +642,8 @@ main(int argc, char** argv)
     const std::string csv_path = cli.get("csv", "");
     if (!csv_path.empty()) {
         std::vector<std::string> header = {
-            "server_threads", "clients", "batch",    "kreq_s",
-            "p50_ns",         "p95_ns",  "p99_ns",   "commits",
-            "aborts",         "timeouts", "rejected"};
+            "clients", "batch",    "kreq_s",  "p50_ns",  "p95_ns",
+            "p99_ns",  "commits",  "aborts",  "timeouts", "rejected"};
         for (size_t s = 0; s < kStageCount; ++s) {
             header.push_back(std::string("stage_") + kStageNames[s] +
                              "_mean_ns");
@@ -688,7 +651,6 @@ main(int argc, char** argv)
         CsvWriter csv(csv_path, header);
         for (const SweepRow& row : rows) {
             std::vector<std::string> cells = {
-                std::to_string(row.server_threads),
                 std::to_string(row.clients),
                 std::to_string(row.batch),
                 std::to_string(row.kreq_s),
@@ -706,29 +668,6 @@ main(int argc, char** argv)
             }
             csv.write_row(cells);
         }
-    }
-
-    // Multi-threaded perf canary: the best multi-threaded cell must
-    // beat the best single-threaded cell by the asserted factor. Both
-    // bests, not cell-by-cell — the claim is about the modes, and the
-    // fairest representative of each mode is its own best cell.
-    if (assert_mt_speedup > 0) {
-        double best_st = 0, best_mt = 0;
-        for (const SweepRow& row : rows) {
-            double& best = row.server_threads > 0 ? best_mt : best_st;
-            best = std::max(best, row.kreq_s);
-        }
-        if (best_st <= 0 || best_mt <= 0) {
-            std::fprintf(stderr,
-                         "svc_loadgen: --assert-mt-speedup needs both a"
-                         " --server-threads=0 cell and a > 0 cell\n");
-            return 1;
-        }
-        const double ratio = best_mt / best_st;
-        std::printf("mt speedup: %.2fx (floor %.2fx) %s\n", ratio,
-                    assert_mt_speedup,
-                    ratio >= assert_mt_speedup ? "OK" : "REGRESSION");
-        if (ratio < assert_mt_speedup) return 1;
     }
 
     // An armed trigger that never fired is a failed run: the incident

@@ -3,8 +3,11 @@
 /// path is made of (or / and / and-reduce / any / none).
 ///
 /// The FPGA implementation of ROCoCo operates on W-bit registers; the
-/// software model uses this type for the general case and raw uint64_t
-/// for the W <= 64 fast path (see core/reachability_matrix.h).
+/// software model uses this type for every window width: the rows of
+/// core::ReachabilityMatrix and the edge vectors of
+/// core::SlidingWindowValidator, plus the graph/ oracle's transitive
+/// closure (via common/bitmatrix.h). There is no fixed-width fast path
+/// yet; ROADMAP.md ("Engine at register width") plans one.
 #pragma once
 
 #include <cstddef>

@@ -61,16 +61,12 @@
 /// submissions after stop() resolve kRejected, mirroring
 /// ValidationPipeline). Per-request scratch (the partition split, the
 /// classified ValidationRequest, the lock array) is thread_local, so
-/// any number of caller threads are safe. The multi-threaded server
-/// (svc::WorkerPool) layers an *affinity* discipline on top: it sends
-/// every single-shard request for shard s to one fixed worker, turning
-/// the per-shard mutex from a point of contention into a handoff —
-/// the worker is the only thread that ever takes shard s's lock for
-/// single-shard work, so the acquisition is always uncontended.
-/// Cross-shard requests ignore affinity and take their ascending
-/// unique_lock sets (deadlock-free by the total order on shard ids),
-/// contending with the owning workers; correctness never depends on
-/// the affinity, only the fast path does.
+/// any number of caller threads are safe. Single-shard requests take
+/// one shard's mutex; cross-shard requests take their ascending
+/// unique_lock sets (deadlock-free by the total order on shard ids).
+/// svc::Server calls the router from its one service thread; in-process
+/// RococoTm deployments (validation_shards > 1) call it from every
+/// transaction thread at once.
 #pragma once
 
 #include <atomic>

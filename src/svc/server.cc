@@ -72,24 +72,6 @@ Server::Server(const ServerConfig& config)
     config_.max_out_bytes =
         std::max(config_.max_out_bytes, kResponseFrameBytes);
 
-    if (config_.worker_threads > 0) {
-        // The job slab is the in-flight bound: acquire() failing is
-        // exactly the pending_-full backpressure of the inline mode.
-        for (uint32_t i = 0; i < config_.worker_threads; ++i) {
-            const std::string prefix =
-                "svc.worker." + std::to_string(i);
-            worker_validations_.push_back(
-                &registry_.counter(prefix + ".validations"));
-            worker_queue_gauges_.push_back(
-                &registry_.gauge(prefix + ".queue_depth"));
-        }
-        const size_t capacity = std::max<size_t>(1, config_.max_pending);
-        workers_ = std::make_unique<WorkerPool>(
-            router_, config_.worker_threads, capacity,
-            worker_validations_);
-        finished_.reserve(capacity);
-    }
-
     if (config_.recorder.enabled) {
         // Empty watch lists default to the service series.
         obs::FlightRecorderConfig rec = config_.recorder;
@@ -152,8 +134,7 @@ Server::Server(const ServerConfig& config)
         queue.name = "svc.queue_depth";
         queue.kind = obs::SeriesKind::kCallback;
         queue.callback = [this] {
-            return static_cast<double>(
-                workers_ ? workers_->in_flight() : pending_.size());
+            return static_cast<double>(pending_.size());
         };
         sampler.series.push_back(std::move(queue));
 
@@ -178,30 +159,6 @@ Server::Server(const ServerConfig& config)
         imbalance.kind = obs::SeriesKind::kCallback;
         imbalance.callback = [this] { return router_.imbalance(); };
         sampler.series.push_back(std::move(imbalance));
-
-        // Worker mode: one validations + one queue-depth series per
-        // engine worker, so `svcctl monitor` shows where the load
-        // lands (the generic series renderer picks these up by name).
-        if (workers_) {
-            for (size_t i = 0; i < workers_->threads(); ++i) {
-                const std::string prefix =
-                    "svc.worker." + std::to_string(i);
-                obs::SeriesSpec validations;
-                validations.name = prefix + ".validations";
-                validations.kind = obs::SeriesKind::kCounter;
-                validations.counters = {worker_validations_[i]};
-                sampler.series.push_back(std::move(validations));
-
-                obs::SeriesSpec depth;
-                depth.name = prefix + ".queue_depth";
-                depth.kind = obs::SeriesKind::kCallback;
-                depth.callback = [this, i] {
-                    return static_cast<double>(
-                        workers_->worker_queue_depth(i));
-                };
-                sampler.series.push_back(std::move(depth));
-            }
-        }
 
         obs::SloEngineConfig slo;
         const auto rule = [&mon](const char* name, const char* series,
@@ -274,17 +231,6 @@ Server::start()
     }
     set_nonblocking(wake_fds_[0]);
 
-    if (workers_ && !workers_->start()) {
-        close(listen_fd_);
-        listen_fd_ = -1;
-        for (int& fd : wake_fds_) {
-            close(fd);
-            fd = -1;
-        }
-        unlink(config_.socket_path.c_str());
-        return false;
-    }
-
     running_ = true;
     thread_ = std::thread([this] { loop(); });
     return true;
@@ -298,21 +244,6 @@ Server::stop()
     const char byte = 0;
     [[maybe_unused]] ssize_t n = write(wake_fds_[1], &byte, 1);
     if (thread_.joinable()) thread_.join();
-
-    // Worker mode: the workers drain their feeds with real engine
-    // passes before joining, then the final completion drain books
-    // every in-flight verdict — the responses die with the
-    // connections below, but the accounting ledger closes exactly.
-    if (workers_) {
-        workers_->stop();
-        finished_.clear();
-        workers_->drain_completions(finished_);
-        for (WorkerJob* job : finished_) {
-            finish_job(job);
-            workers_->release(job);
-        }
-        finished_.clear();
-    }
 
     // Every still-queued request gets its answer for the accounting
     // invariant; the bytes die with the connections below.
@@ -342,16 +273,12 @@ Server::loop()
 {
     std::vector<pollfd> fds;
     std::vector<int> readable, unsent;
-    // Connection entries start after the fixed fds: listen, wake, and
-    // (worker mode) the pool's completion pipe.
-    const size_t first_conn = workers_ ? 3 : 2;
+    // Connection entries start after the fixed fds: listen and wake.
+    constexpr size_t kFirstConn = 2;
     while (running_) {
         fds.clear();
         fds.push_back({listen_fd_, POLLIN, 0});
         fds.push_back({wake_fds_[0], POLLIN, 0});
-        if (workers_) {
-            fds.push_back({workers_->completion_fd(), POLLIN, 0});
-        }
         for (const auto& [fd, conn] : connections_) {
             short events = POLLIN;
             if (conn.out_off < conn.out.size()) events |= POLLOUT;
@@ -380,7 +307,7 @@ Server::loop()
         if (ready < 0 && errno != EINTR) break;
 
         readable.clear();
-        for (size_t i = first_conn; i < fds.size(); ++i) {
+        for (size_t i = kFirstConn; i < fds.size(); ++i) {
             if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
                 readable.push_back(fds[i].fd);
             }
@@ -391,15 +318,7 @@ Server::loop()
             while (read(wake_fds_[0], drain, sizeof(drain)) > 0) {}
         }
         for (int fd : readable) read_client(fd);
-        // Inline mode runs the engine batch here; worker mode instead
-        // collects whatever the engine workers finished (the
-        // completion pipe's POLLIN is what woke us) and does their
-        // accounting + responses on this thread.
-        if (workers_) {
-            drain_workers();
-        } else {
-            process_batch();
-        }
+        process_batch();
         // Responses produced this pass leave in one send() per
         // connection — the syscall amortization batching buys. (Collect
         // fds first: flush() may erase the connection.)
@@ -408,9 +327,7 @@ Server::loop()
             if (conn.out_off < conn.out.size()) unsent.push_back(fd);
         }
         for (int fd : unsent) flush(fd);
-        queue_depth_.set(static_cast<double>(
-            workers_ ? workers_->in_flight() : pending_.size()));
-        refresh_worker_gauges();
+        queue_depth_.set(static_cast<double>(pending_.size()));
         const uint64_t tick_ns = obs::now_ns();
         if (recorder_) recorder_->tick(tick_ns);
         if (monitor_) monitor_->tick(tick_ns);
@@ -510,33 +427,6 @@ Server::read_client(int fd)
         }
         const bool v2 = frame->type == MsgType::kRequestV2;
         requests_.add(1);
-        if (workers_) {
-            // Worker mode: the job slab is the pending bound — an
-            // exhausted slab is the same backpressure the inline
-            // mode's full pending_ deque signals.
-            WorkerJob* job = workers_->acquire();
-            if (job == nullptr) {
-                rejected_.add(1);
-                if (!respond(fd, generation, request->request_id,
-                             {core::Verdict::kRejected, 0,
-                              obs::AbortReason::kBackpressure},
-                             v2, {})) {
-                    return; // connection closed; conn dangles
-                }
-                continue;
-            }
-            job->fd = fd;
-            job->generation = generation;
-            job->request_id = request->request_id;
-            job->arrival_ns = now;
-            job->deadline_ns = request->deadline_ns;
-            job->trace_id = request->trace_id;
-            job->parent_span_id = request->parent_span_id;
-            job->v2 = v2;
-            job->offload = std::move(request->offload);
-            workers_->submit(job);
-            continue;
-        }
         if (pending_.size() >= config_.max_pending) {
             rejected_.add(1);
             if (!respond(fd, generation, request->request_id,
@@ -567,11 +457,9 @@ Server::handle_stats(int fd)
     stats_polls_.add(1);
     // Refresh the live gauges so the snapshot reflects *now*, not the
     // last engine pass.
-    queue_depth_.set(static_cast<double>(
-        workers_ ? workers_->in_flight() : pending_.size()));
+    queue_depth_.set(static_cast<double>(pending_.size()));
     window_occupancy_.set(static_cast<double>(router_.occupancy()));
     connections_open_.set(static_cast<double>(connections_.size()));
-    refresh_worker_gauges();
     // Snapshot service and shard metrics together, so svcctl sees the
     // shard.* keys next to the svc.* keys (merging the router into
     // registry_ itself would double-count counters on every poll).
@@ -672,11 +560,9 @@ Server::handle_prom(int fd)
     Connection& conn = it->second;
     prom_polls_.add(1);
     // Same snapshot the kStats path exposes, in exposition format.
-    queue_depth_.set(static_cast<double>(
-        workers_ ? workers_->in_flight() : pending_.size()));
+    queue_depth_.set(static_cast<double>(pending_.size()));
     window_occupancy_.set(static_cast<double>(router_.occupancy()));
     connections_open_.set(static_cast<double>(connections_.size()));
-    refresh_worker_gauges();
     obs::Registry snapshot;
     snapshot.merge(registry_);
     router_.export_metrics(snapshot);
@@ -799,83 +685,6 @@ Server::process_batch()
     if (engine_passes > 0) {
         batch_size_.record(engine_passes);
         window_occupancy_.set(static_cast<double>(router_.occupancy()));
-    }
-}
-
-void
-Server::drain_workers()
-{
-    finished_.clear();
-    workers_->drain_completions(finished_);
-    if (finished_.empty()) return;
-    size_t engine_passes = 0;
-    for (WorkerJob* job : finished_) {
-        if (!job->timed_out) ++engine_passes;
-        finish_job(job);
-        workers_->release(job);
-    }
-    finished_.clear();
-    if (engine_passes > 0) {
-        // The completion drain is this mode's "batch": how many engine
-        // results one IO pass shipped out together.
-        batch_size_.record(engine_passes);
-        window_occupancy_.set(static_cast<double>(router_.occupancy()));
-    }
-}
-
-void
-Server::finish_job(WorkerJob* job)
-{
-    // All accounting on the IO thread: workers only computed the
-    // verdict, so svc.requests == sum(svc.verdict.*) + svc.timeout +
-    // svc.rejected stays a single-writer invariant.
-    if (job->timed_out) {
-        timeout_.add(1);
-    } else {
-        if (config_.shards > 1) {
-            stage_shard_route_.record(job->route.route_ns);
-            if (job->route.shards_touched > 1) {
-                stage_shard_coord_.record(job->route.coord_ns);
-            }
-        }
-        verdict_[static_cast<size_t>(job->result.verdict)]->add(1);
-        stage_server_queue_.record(job->stages.server_queue_ns);
-        stage_batch_wait_.record(job->stages.batch_wait_ns);
-        stage_engine_.record(job->stages.engine_ns);
-        stage_link_.record(job->stages.link_ns);
-#if ROCOCO_TRACE_ENABLED
-        // Span written here, not on the worker: the IO thread stays
-        // the sole server-side span writer, which is what keeps
-        // trace-including recorder dumps race-free.
-        if (job->trace_id != 0 && obs::Tracer::instance().active()) {
-            obs::TraceEvent span;
-            span.name = "svc.server.validate";
-            span.cat = "svc";
-            span.arg_name = "parent_span_id";
-            span.arg_value = job->parent_span_id;
-            span.ts_ns = job->engine_start_ns;
-            span.dur_ns = job->engine_end_ns - job->engine_start_ns;
-            span.phase = obs::EventPhase::kComplete;
-            obs::Tracer::instance().record(span);
-            obs::Tracer::instance().flow(
-                obs::EventPhase::kFlowEnd, "svc", "svc.validate_flow",
-                job->trace_id,
-                job->engine_start_ns +
-                    (job->engine_end_ns - job->engine_start_ns) / 2);
-        }
-#endif
-    }
-    respond(job->fd, job->generation, job->request_id, job->result,
-            job->v2, job->stages);
-    rpc_ns_.record(obs::now_ns() - job->arrival_ns);
-}
-
-void
-Server::refresh_worker_gauges()
-{
-    for (size_t i = 0; i < worker_queue_gauges_.size(); ++i) {
-        worker_queue_gauges_[i]->set(
-            static_cast<double>(workers_->worker_queue_depth(i)));
     }
 }
 

@@ -58,19 +58,12 @@
 /// a tracer is active, the engine pass emits a server-side span plus a
 /// Perfetto flow-end event binding it to the client's span.
 ///
-/// Threading: start() spawns one IO thread running a poll() loop that
-/// does accept/read/decode, the inline introspection ops, response
-/// writes, all svc.* accounting, and the recorder/monitor ticks. With
-/// ServerConfig::worker_threads == 0 (the default) that thread also
-/// runs the engine batch inline — the original single-threaded server.
-/// With worker_threads == N > 0 the engine passes move to a
-/// svc::WorkerPool of N threads with shard affinity, fed by the IO
-/// thread and answered back over an MPSC completion queue + self-pipe,
-/// so S shards validate genuinely concurrently while every socket
-/// write, (fd, generation) check, and accounting counter stays
-/// single-writer on the IO thread (see worker_pool.h for the full
-/// division of labor). The public API (start/stop/stats/
-/// export_metrics) is thread-safe either way.
+/// Threading: start() spawns one thread running a poll() loop that
+/// does accept/read/decode, the inline introspection ops, the engine
+/// batch (process_batch() calls the router inline), response writes,
+/// all svc.* accounting, and the recorder/monitor ticks — one drainer
+/// taking requests in arrival order, as in Fig. 6 (b). The public API
+/// (start/stop/stats/export_metrics) is thread-safe.
 #pragma once
 
 #include <atomic>
@@ -87,7 +80,6 @@
 #include "obs/registry.h"
 #include "shard/router.h"
 #include "svc/wire.h"
-#include "svc/worker_pool.h"
 
 namespace rococo::svc {
 
@@ -106,22 +98,7 @@ struct ServerConfig
     /// Clients are unaffected: the wire contract and the global cid
     /// space are identical either way.
     uint32_t shards = 1;
-    /// Engine worker threads. 0 (the default) keeps the original
-    /// single-threaded server: engine passes run inline on the IO
-    /// thread via the adaptive batch loop. N > 0 spawns a
-    /// svc::WorkerPool of N engine workers with shard affinity
-    /// (worker_pool.h): the IO thread decodes and hands each request
-    /// to its home shard's worker, so with shards >= N the S engines
-    /// validate genuinely concurrently. All accounting, socket writes
-    /// and introspection stay on the IO thread in both modes; the
-    /// service contract above (bounded queue, deadlines, exact
-    /// accounting) is identical. Values above shards still work —
-    /// excess workers just share shards.
-    uint32_t worker_threads = 0;
     /// Max requests per engine pass (>= 1). 1 disables batching.
-    /// Ignored when worker_threads > 0 (workers pull one job at a
-    /// time; batching exists to amortize the IO thread's syscalls,
-    /// which the completion drain already does).
     size_t max_batch = 16;
     /// Bound on requests waiting for the engine; overflow is answered
     /// kRejected (backpressure) instead of queued.
@@ -231,14 +208,6 @@ class Server
                  const core::ValidationResult& result, bool v2,
                  const StageTimestamps& stages);
     void process_batch();
-    /// Worker mode: pull every finished job off the completion queue,
-    /// do its accounting (verdict counters, stage histograms, trace
-    /// span) on this — the IO — thread, respond, and recycle the job.
-    void drain_workers();
-    /// Accounting + response for one worker-finished job (IO thread).
-    void finish_job(WorkerJob* job);
-    /// Refresh the svc.worker.<i>.queue_depth gauges from the pool.
-    void refresh_worker_gauges();
     void flush(int fd);
 
     ServerConfig config_;
@@ -252,21 +221,10 @@ class Server
     /// is safe because every tick happens on the service thread.
     std::unique_ptr<obs::HealthMonitor> monitor_;
 
-    /// Present iff config_.worker_threads > 0; fed from read_client(),
-    /// drained (accounting + responses) on the IO thread.
-    std::unique_ptr<WorkerPool> workers_;
-    /// IO-thread scratch for drain_workers(); keeps its capacity.
-    std::vector<WorkerJob*> finished_;
-    /// Per-worker validation counters (svc.worker.<i>.validations),
-    /// each written by exactly one worker thread.
-    std::vector<obs::Counter*> worker_validations_;
-    /// Per-worker queue-depth gauges, set on the IO thread only.
-    std::vector<obs::Gauge*> worker_queue_gauges_;
-
     int listen_fd_ = -1;
     int wake_fds_[2] = {-1, -1}; ///< self-pipe: stop() wakes poll()
     std::map<int, Connection> connections_;
-    std::deque<Pending> pending_; ///< inline mode only (worker_threads == 0)
+    std::deque<Pending> pending_;
     uint64_t next_generation_ = 0;
 
     std::atomic<bool> running_{false};

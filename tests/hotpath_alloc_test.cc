@@ -29,7 +29,6 @@
 #include "obs/registry.h"
 #include "obs/timeseries.h"
 #include "shard/router.h"
-#include "svc/worker_pool.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -176,6 +175,33 @@ TEST(HotPathAllocation, PipelineValidateSteadyStateIsAllocationFree)
     }
     EXPECT_EQ(allocations() - before, 0u)
         << "pipeline.validate() allocated on the steady-state path";
+}
+
+/// The sharded tier the validation server runs inline: the same
+/// workload through ShardRouter::process() on two shards, so both the
+/// single-shard route and the cross-shard two-phase route stay warm.
+/// After warmup (thread_local split and classify scratch grown,
+/// per-shard windows evicting, the in-window commit ledger rings
+/// wrapped), a steady-state call must allocate ZERO times.
+TEST(HotPathAllocation, ShardRouterProcessSteadyStateIsAllocationFree)
+{
+    shard::ShardConfig config;
+    config.shards = 2;
+    shard::ShardRouter router(config);
+    uint64_t i = 0;
+    for (; i < 256; ++i) {
+        ASSERT_EQ(router.process(workload_request(i)).verdict,
+                  core::Verdict::kCommit);
+    }
+
+    const uint64_t before = allocations();
+    for (const uint64_t end = i + 1000; i < end; ++i) {
+        ASSERT_EQ(router.process(workload_request(i)).verdict,
+                  core::Verdict::kCommit);
+    }
+    EXPECT_EQ(allocations() - before, 0u)
+        << "router.process() allocated on the steady-state path";
+    EXPECT_GT(router.stats().get("shard.cross"), 0u);
 }
 
 /// Conflicting workload: each round a writer commits a hot key, then a
@@ -336,69 +362,6 @@ TEST(HotPathAllocation, MonitoredSteadyStateIsAllocationFree)
         << "the armed sampler/SLO tick allocated on the steady-state "
            "path";
     EXPECT_EQ(monitor.slo().overall(), obs::HealthState::kOk);
-}
-
-/// The multi-threaded server's worker pool makes the same promise for
-/// the full IO-thread half of a request's life: acquire a slab job,
-/// fill its offload in place, submit to the home-shard worker, drain
-/// the completion back and release. After warmup (slab recycled, feed
-/// rings and completion vectors at capacity, the workers'
-/// thread_local router scratch grown, per-shard windows churned), a
-/// steady-state round trip must allocate ZERO times on the submitting
-/// thread — this is exactly what Server::loop runs per request in
-/// worker mode. The workload alternates the contended-pool write so
-/// both single-shard (affinity handoff) and cross-shard (two-phase)
-/// routes stay warm.
-TEST(HotPathAllocation, WorkerPoolRoundTripIsAllocationFree)
-{
-    shard::ShardConfig shard_config;
-    shard_config.shards = 2;
-    shard::ShardRouter router(shard_config);
-    svc::WorkerPool pool(router, /*threads=*/2, /*capacity=*/16);
-    ASSERT_TRUE(pool.start());
-
-    std::vector<svc::WorkerJob*> finished;
-    finished.reserve(16);
-
-    const auto iteration = [&](uint64_t i) {
-        svc::WorkerJob* job = pool.acquire();
-        ASSERT_NE(job, nullptr);
-        job->request_id = i;
-        job->arrival_ns = 1;
-        job->deadline_ns = 0;
-        // Same always-commit shape as workload_request(), written in
-        // place so the job's SmallVector storage is reused.
-        job->offload.writes.push_back(uint64_t{1} << 32 | i);
-        job->offload.writes.push_back(i % 32);
-        job->offload.snapshot_cid = 0;
-        pool.submit(job);
-        // One job in flight: spin on the drain (read + lock + swap,
-        // no allocation) until the worker answers.
-        while (pool.drain_completions(finished) == 0) {}
-        ASSERT_EQ(finished.size(), 1u);
-        EXPECT_EQ(finished.front()->result.verdict, core::Verdict::kCommit);
-        pool.release(finished.front());
-        finished.clear();
-    };
-
-    uint64_t i = 0;
-    // Warmup: both workers' thread_local scratch grown (the contended
-    // pool spans both shards), per-shard windows evicting, the job's
-    // offload vectors at high-water.
-    for (; i < 256; ++i) {
-        iteration(i);
-        if (testing::Test::HasFailure()) return;
-    }
-
-    const uint64_t before = allocations();
-    for (const uint64_t end = i + 1000; i < end; ++i) {
-        iteration(i);
-        if (testing::Test::HasFailure()) return;
-    }
-    EXPECT_EQ(allocations() - before, 0u)
-        << "the worker-pool round trip allocated on the steady-state "
-           "path";
-    pool.stop();
 }
 
 /// Steady-state KV operations — get, put, scan and a 4-key rmw, the

@@ -26,7 +26,6 @@
 #include "shard/shard_cc.h"
 #include "svc/client.h"
 #include "svc/server.h"
-#include "svc/worker_pool.h"
 #include "tm/rococo_tm.h"
 
 namespace rococo::shard {
@@ -344,24 +343,23 @@ TEST(ShardRouter, ConcurrentCallersKeepAccountingAndFinish)
     EXPECT_GT(stats.get("shard.cross"), 0u);
 }
 
-TEST(ShardRouter, WorkerPoolHistoryPassesSerializabilityOracle)
+TEST(ShardRouter, ConcurrentCallerHistoryPassesSerializabilityOracle)
 {
-    // The oracle re-proof under the *real* multi-threaded deployment:
-    // requests flow through a svc::WorkerPool (affinity routing, four
-    // engine workers racing on four shards) instead of the sequential
-    // replay driver. Each request's snapshot is captured at submit
-    // time, so by the time a worker validates it, later commits have
-    // landed and genuine forward dependencies arise. Afterwards the
-    // exact multiversion dependency graph of the committed history —
-    // version order per address is global-cid order, a reader observes
-    // the newest version with cid < its snapshot — must be acyclic:
-    // the same src/graph oracle the sequential replays pass, rebuilt
-    // for the out-of-replay-order commit sequence the workers produce.
+    // The oracle re-proof under the in-process multi-threaded
+    // deployment (RococoTm with validation_shards > 1): four caller
+    // threads race ShardRouter::process() on four shards instead of the
+    // sequential replay driver. Each request's snapshot is captured
+    // right before its call, so by the time it validates, other
+    // callers' commits may have landed and genuine forward
+    // dependencies arise. Afterwards the exact multiversion dependency
+    // graph of the committed history — version order per address is
+    // global-cid order, a reader observes the newest version with
+    // cid < its snapshot — must be acyclic: the same src/graph oracle
+    // the sequential replays pass, rebuilt for the interleaved commit
+    // sequence the callers produce.
     ShardConfig config;
     config.shards = 4;
     ShardRouter router(config);
-    svc::WorkerPool pool(router, /*threads=*/4, /*capacity=*/32);
-    ASSERT_TRUE(pool.start());
 
     struct Rec
     {
@@ -373,31 +371,11 @@ TEST(ShardRouter, WorkerPoolHistoryPassesSerializabilityOracle)
         uint64_t cid = 0;
     };
     constexpr size_t kTxns = 6000;
+    constexpr size_t kThreads = 4;
     constexpr uint64_t kLocations = 96; // few: force real conflicts
     std::vector<Rec> recs(kTxns);
-    std::vector<svc::WorkerJob*> done;
-    done.reserve(32);
     Xoshiro256 rng(2026);
-
-    const auto harvest = [&] {
-        for (svc::WorkerJob* job : done) {
-            Rec& rec = recs[job->request_id];
-            rec.resolved = true;
-            rec.committed = job->result.verdict == core::Verdict::kCommit;
-            rec.cid = job->result.cid;
-            pool.release(job);
-        }
-        done.clear();
-    };
-
-    for (size_t i = 0; i < kTxns; ++i) {
-        svc::WorkerJob* job = pool.acquire();
-        while (job == nullptr) { // slab full: reap like Server::loop
-            pool.drain_completions(done);
-            harvest();
-            job = pool.acquire();
-        }
-        Rec& rec = recs[i];
+    for (Rec& rec : recs) {
         for (unsigned r = unsigned(rng.below(3)); r > 0; --r) {
             rec.reads.push_back(rng.below(kLocations));
         }
@@ -410,18 +388,33 @@ TEST(ShardRouter, WorkerPoolHistoryPassesSerializabilityOracle)
             std::sort(set->begin(), set->end());
             set->erase(std::unique(set->begin(), set->end()), set->end());
         }
-        rec.snapshot = router.global_commits();
-        job->request_id = i;
-        job->arrival_ns = 1;
-        job->deadline_ns = 0;
-        for (uint64_t a : rec.reads) job->offload.reads.push_back(a);
-        for (uint64_t a : rec.writes) job->offload.writes.push_back(a);
-        job->offload.snapshot_cid = rec.snapshot;
-        pool.submit(job);
     }
-    pool.stop();
-    pool.drain_completions(done);
-    harvest();
+
+    // Each caller owns every kThreads-th record, so the records need
+    // no lock.
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < kThreads; ++t) {
+        callers.emplace_back([&, t] {
+            for (size_t i = t; i < kTxns; i += kThreads) {
+                Rec& rec = recs[i];
+                fpga::OffloadRequest offload;
+                for (uint64_t a : rec.reads) offload.reads.push_back(a);
+                for (uint64_t a : rec.writes) offload.writes.push_back(a);
+                rec.snapshot = router.global_commits();
+                offload.snapshot_cid = rec.snapshot;
+                // Stand-in for the transaction body between begin and
+                // commit: lets other callers commit past the snapshot
+                // even when the callers share one CPU.
+                std::this_thread::yield();
+                const core::ValidationResult result =
+                    router.process(offload);
+                rec.resolved = true;
+                rec.committed = result.verdict == core::Verdict::kCommit;
+                rec.cid = result.cid;
+            }
+        });
+    }
+    for (auto& caller : callers) caller.join();
 
     uint64_t commits = 0;
     for (const Rec& rec : recs) {
@@ -473,7 +466,7 @@ TEST(ShardRouter, WorkerPoolHistoryPassesSerializabilityOracle)
     }
     const auto verdict = graph::check_serializability(g);
     EXPECT_TRUE(verdict.serializable)
-        << "worker-pool history admitted a dependency cycle of length "
+        << "concurrent-caller history admitted a dependency cycle of length "
         << (verdict.cycle.empty() ? 0 : verdict.cycle.size() - 1);
 }
 

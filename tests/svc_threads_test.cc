@@ -1,14 +1,12 @@
-/// Stress tests for the multi-threaded validation server (worker_threads
-/// > 0): concurrent clients against the WorkerPool with overlapping
-/// single- and cross-shard footprints, introspection floods (kStats /
-/// kSeries) racing live worker traffic, and restart cycles. Each test
+/// Stress tests for the validation server under concurrency: client
+/// threads racing the one service thread with overlapping single- and
+/// cross-shard footprints, introspection floods (kStats / kSeries)
+/// racing live validation traffic, and restart cycles. Each test
 /// re-proves the service accounting invariant
-///   svc.requests == sum(svc.verdict.*) + svc.timeout + svc.rejected
-/// with workers engaged, plus the per-worker validation ledger
-///   sum(svc.worker.<i>.validations) == engine passes.
-/// These are the tests the TSan preset leans on: every IO-thread /
-/// worker handoff (job slab, per-worker feeds, completion vector,
-/// self-pipe wake) gets exercised under real contention.
+///   svc.requests == sum(svc.verdict.*) + svc.timeout + svc.rejected.
+/// These are the tests the TSan preset leans on: every handoff between
+/// the service thread, the clients' reader threads and the caller of
+/// start()/stop()/stats() gets exercised under real contention.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -88,8 +86,8 @@ accounted(const CounterBag& stats)
 
 /// Pump @p per_client requests through one ValidationClient with
 /// footprints that exercise both router paths: most requests touch a
-/// narrow key range (lands on one shard — the affinity fast path) and
-/// every fourth spans the whole address space (cross-shard two-phase).
+/// narrow key range (usually lands on one shard) and every fourth
+/// spans the whole address space (cross-shard two-phase).
 /// Returns the number of resolved futures.
 uint64_t
 pump_traffic(const std::string& socket_path, uint64_t per_client,
@@ -107,7 +105,7 @@ pump_traffic(const std::string& socket_path, uint64_t per_client,
         if (i % 4 == 3) {
             // Wide footprint: reads spread over the full key space so
             // the split hits several shards and the router's ascending
-            // cross-shard lock path runs under worker concurrency.
+            // cross-shard lock path runs.
             for (int r = 0; r < 8; ++r) {
                 request.reads.push_back(rng.below(4096));
             }
@@ -139,14 +137,13 @@ pump_traffic(const std::string& socket_path, uint64_t per_client,
 }
 
 // ---------------------------------------------------------------------
-// Concurrent clients vs. the worker pool
+// Concurrent clients vs. the service thread
 
 TEST(SvcThreads, ConcurrentClientsAccountingSumsWithWorkers)
 {
     ServerConfig config;
     config.socket_path = test_socket_path("mt_smoke");
     config.shards = 4;
-    config.worker_threads = 4;
     config.max_pending = 64;
     Server server(config);
     ASSERT_TRUE(server.start());
@@ -169,41 +166,22 @@ TEST(SvcThreads, ConcurrentClientsAccountingSumsWithWorkers)
     const uint64_t requests = stats.get("svc.requests");
     EXPECT_EQ(requests, kClients * kPerClient);
     EXPECT_EQ(accounted(stats), requests);
-
-    // Per-worker ledger: each engine pass incremented exactly one
-    // worker's validation counter, so the sum equals the non-timed-out
-    // accepted requests. With the hot 64-key set concentrated on a few
-    // shards, affinity still has to spread work: at least two of the
-    // four workers validated something.
-    uint64_t worker_sum = 0;
-    int busy_workers = 0;
-    for (uint32_t i = 0; i < config.worker_threads; ++i) {
-        const uint64_t v =
-            stats.get("svc.worker." + std::to_string(i) + ".validations");
-        worker_sum += v;
-        busy_workers += v > 0 ? 1 : 0;
-    }
-    EXPECT_EQ(worker_sum,
-              requests - stats.get("svc.timeout") -
-                  stats.get("svc.rejected"));
-    EXPECT_GE(busy_workers, 2);
 }
 
 // ---------------------------------------------------------------------
-// Introspection racing worker traffic
+// Introspection racing validation traffic
 
 TEST(SvcThreads, StatsAndSeriesFloodDuringWorkerTraffic)
 {
     ServerConfig config;
     config.socket_path = test_socket_path("mt_stats");
     config.shards = 2;
-    config.worker_threads = 2;
     config.max_pending = 32;
     Server server(config);
     ASSERT_TRUE(server.start());
 
     // Background validation traffic for the whole introspection
-    // exchange, so stats snapshots race live completion drains.
+    // exchange, so stats snapshots race live engine batches.
     std::atomic<bool> stop_traffic{false};
     std::atomic<uint64_t> pumped{0};
     std::thread traffic([&] {
@@ -232,14 +210,10 @@ TEST(SvcThreads, StatsAndSeriesFloodDuringWorkerTraffic)
             << "no introspection reply in round " << round;
         if (round % 2 == 0) {
             const std::string json(payload->begin(), payload->end());
-            // Worker gauges are exported live (refreshed from the pool
-            // atomics on the IO thread right before the snapshot).
-            // Gauges always merge into the snapshot; the validation
-            // *counters* only appear once non-zero, which test 1 pins
-            // down deterministically after stop().
-            EXPECT_NE(json.find("\"svc.worker.0.queue_depth\""),
-                      std::string::npos);
-            EXPECT_NE(json.find("\"svc.worker.1.queue_depth\""),
+            // Live gauges are refreshed right before the snapshot and
+            // always merge into it, traffic or not.
+            EXPECT_NE(json.find("\"svc.queue_depth\""), std::string::npos);
+            EXPECT_NE(json.find("\"svc.window_occupancy\""),
                       std::string::npos);
         }
     }
@@ -270,7 +244,6 @@ TEST(SvcThreads, RestartCyclesDrainWorkersAndRebind)
     ServerConfig config;
     config.socket_path = test_socket_path("mt_restart");
     config.shards = 2;
-    config.worker_threads = 3; // more workers than shards: sharing path
     config.max_pending = 16;
     Server server(config);
 
@@ -289,9 +262,9 @@ TEST(SvcThreads, RestartCyclesDrainWorkersAndRebind)
         EXPECT_EQ(answered.load(), 200u);
         total_requests += answered.load();
         server.stop();
-        // stop() joined the workers and drained the final completions,
-        // so the ledger balances at every cycle boundary, not just at
-        // process exit.
+        // stop() joined the service thread and rejected whatever was
+        // still queued, so the ledger balances at every cycle
+        // boundary, not just at process exit.
         const CounterBag stats = server.stats();
         EXPECT_EQ(stats.get("svc.requests"), total_requests);
         EXPECT_EQ(accounted(stats), total_requests);

@@ -278,14 +278,13 @@ server_answers_stats(const std::string& path)
     }
 }
 
-/// Mutation volley against a live server built from @p config: 120
-/// truncated/bit-flipped frames on fresh connections, periodic and
-/// final liveness probes, and the accounting cross-check after stop.
-/// Shared by the inline (single-threaded) and worker-pool variants —
-/// the wire robustness contract is mode-independent.
-void
-fuzz_live_server(ServerConfig config)
+/// Mutation volley against a live server: 120 truncated/bit-flipped
+/// frames on fresh connections, periodic and final liveness probes,
+/// and the accounting cross-check after stop.
+TEST(WireFuzz, ServerSurvivesMutatedFrames)
 {
+    ServerConfig config;
+    config.socket_path = test_socket_path("server");
     Server server(config);
     ASSERT_TRUE(server.start());
 
@@ -332,28 +331,6 @@ fuzz_live_server(ServerConfig config)
                               stats.get("svc.timeout") +
                               stats.get("svc.rejected");
     EXPECT_EQ(stats.get("svc.requests"), answered);
-}
-
-TEST(WireFuzz, ServerSurvivesMutatedFrames)
-{
-    ServerConfig config;
-    config.socket_path = test_socket_path("server");
-    fuzz_live_server(config);
-}
-
-TEST(WireFuzz, ThreadedServerSurvivesMutatedFrames)
-{
-    // Same volley with the worker pool engaged: mutated frames that
-    // survive framing become real jobs, so the IO-thread/worker
-    // handoff (acquire, submit, completion drain) also sees the
-    // fuzzer's decode edge cases, and connection drops race in-flight
-    // jobs whose verdicts must be discarded by the (fd, generation)
-    // check rather than written to a recycled descriptor.
-    ServerConfig config;
-    config.socket_path = test_socket_path("server_mt");
-    config.shards = 2;
-    config.worker_threads = 2;
-    fuzz_live_server(config);
 }
 
 } // namespace

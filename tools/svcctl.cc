@@ -739,12 +739,8 @@ cmd_watch(const std::string& socket_path, unsigned interval_ms,
     // not a client-side delta between two kStats snapshots. A server
     // without a monitor ("enabled": false) falls back to raw kStats
     // totals; a rate column shows '-' until the sampler has two points.
-    // workerq = summed svc.worker.<i>.queue_depth across the engine
-    // workers of a multi-threaded server (the backlog handed off but
-    // not yet validated); '-' on a single-threaded server, which has
-    // no worker series.
-    std::printf("%12s %12s %12s %12s %12s %10s\n", "req/s", "queue",
-                "window", "conns", "workerq", "health");
+    std::printf("%12s %12s %12s %12s %10s\n", "req/s", "queue", "window",
+                "conns", "health");
     bool legacy_noted = false;
     for (unsigned i = 0; count == 0 || i < count;) {
         std::string json;
@@ -776,12 +772,11 @@ cmd_watch(const std::string& socket_path, unsigned interval_ms,
                 }
                 continue;
             }
-            std::printf("%12.0f %12.0f %12.0f %12.0f %12s %10s\n",
+            std::printf("%12.0f %12.0f %12.0f %12.0f %10s\n",
                         extract_number(json, "svc.requests"),
                         extract_number(json, "svc.queue_depth"),
                         extract_number(json, "svc.window_occupancy"),
-                        extract_number(json, "svc.connections_open"), "-",
-                        "-");
+                        extract_number(json, "svc.connections_open"), "-");
         } else {
             std::string health;
             std::string samples;
@@ -805,30 +800,9 @@ cmd_watch(const std::string& socket_path, unsigned interval_ms,
             series_field("svc.queue_depth", "last", queue);
             series_field("svc.window_occupancy", "last", window);
             series_field("svc.connections_open", "last", conns);
-            // Sum the per-worker queue depths; absent series means a
-            // single-threaded server.
-            std::string workerq = "-";
-            {
-                double total = 0.0;
-                bool any = false;
-                for (const std::string& s : split_named_objects(samples)) {
-                    const std::string name = extract_string(s, "name");
-                    if (name.rfind("svc.worker.", 0) != 0 ||
-                        name.find(".queue_depth") == std::string::npos) {
-                        continue;
-                    }
-                    double v = 0.0;
-                    if (extract_opt_number(s, "last", &v)) {
-                        total += v;
-                        any = true;
-                    }
-                }
-                if (any) workerq = format_value(total);
-            }
             const std::string overall = extract_string(health, "state");
-            std::printf("%12s %12s %12s %12s %12s %10s\n", rate.c_str(),
+            std::printf("%12s %12s %12s %12s %10s\n", rate.c_str(),
                         queue.c_str(), window.c_str(), conns.c_str(),
-                        workerq.c_str(),
                         overall.empty() ? "-" : overall.c_str());
         }
         std::fflush(stdout);
