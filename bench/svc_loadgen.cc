@@ -13,7 +13,7 @@
 /// batch=1, the software analogue of amortizing CCI link latency with
 /// packed cachelines (§5.3). Results are recorded in docs/SERVICE.md.
 ///
-/// Stage attribution (--stages=1): every v2 response carries the
+/// Stage attribution (--stages=1): every response carries the
 /// server-side stage durations, and the client derives the wire stage
 /// as the residual of the measured round trip — so the stage *means*
 /// sum to the e2e mean by construction (the modeled CCI link latency is
@@ -45,11 +45,9 @@
 ///   spike: every key is drawn from [0, N) and requests carry
 ///   snapshot_cid=0 (a maximally stale snapshot), so nearly every
 ///   validation collides with the window and aborts. --recorder-out=P
-///   arms the server's flight recorder (incident files P-<seq>.json)
-///   with --abort-rate-trigger=X as the firing threshold; the run then
-///   narrows to its first sweep cell and svc_loadgen exits 1 if the
-///   recorder was armed with a trigger but no incident fired — the
-///   contract the incident-dump ctest fixture pins down.
+///   arms the server's flight recorder (incident files P-<seq>.json,
+///   written when an SLO rule goes critical or on svcctl dump); the
+///   run then narrows to its first sweep cell.
 ///
 /// Continuous monitoring (docs/OBSERVABILITY.md § Continuous
 /// monitoring): the server's health monitor is on by default
@@ -58,20 +56,24 @@
 /// --slo-slow-ms shrink the SLO windows so short runs can walk the
 /// ok -> warn -> critical ladder; with a recorder armed
 /// (--recorder-out) a critical SLO dumps an incident with trigger
-/// "slo:abort-rate". --prom-out=FILE writes the server's final metrics
-/// snapshot in Prometheus text exposition format (the node-exporter
-/// textfile-collector shape) and narrows the sweep to its first cell.
+/// "slo:abort-rate", and with --slo-abort-rate set too svc_loadgen
+/// exits 1 if no "slo:" incident was written — the contract the
+/// incident ctest fixture pins down. --prom-out=FILE writes the
+/// server's final metrics snapshot in Prometheus text exposition
+/// format (the node-exporter textfile-collector shape) and narrows the
+/// sweep to its first cell.
 ///
 /// Usage:
 ///   svc_loadgen [--clients=1,2,4,8] [--batch=1,8,32] [--shards=1]
 ///               [--requests=20000] [--outstanding=16] [--reads=4]
 ///               [--writes=2] [--keys=4096] [--stages=1]
 ///               [--tm-threads=N] [--zipf=THETA] [--hot-keys=N]
-///               [--recorder-out=PREFIX] [--abort-rate-trigger=X]
-///               [--monitor=1] [--prom-out=FILE] [--slo-abort-rate=X]
+///               [--recorder-out=PREFIX] [--monitor=1]
+///               [--prom-out=FILE] [--slo-abort-rate=X]
 ///               [--slo-fast-ms=N] [--slo-slow-ms=N]
 ///               [--telemetry-server=FILE] [--telemetry-client=FILE]
 ///               [--socket=/tmp/rococo_loadgen.sock] [--csv=FILE]
+#include <glob.h>
 #include <sys/wait.h>
 #include <algorithm>
 #include <unistd.h>
@@ -148,7 +150,6 @@ struct LoadConfig
     double zipf = 0;         ///< Zipf theta; 0 = uniform keys
     uint64_t hot_keys = 0;   ///< > 0: abort spike over [0, hot_keys)
     std::string recorder_out;        ///< arm the server flight recorder
-    double abort_rate_trigger = 0;   ///< recorder firing threshold
     bool monitor = true;             ///< server health monitor on/off
     std::string prom_out;            ///< Prometheus textfile snapshot
     double slo_abort_rate = 0;       ///< override abort-rate SLO threshold
@@ -258,7 +259,7 @@ run_client(const LoadConfig& config, unsigned seed,
     report.p99_ns = latency.quantile(0.99);
 
     // The per-stage breakdown lives in the client's metric registry
-    // (fed by every v2 response); pull it into the flat report.
+    // (fed by every response); pull it into the flat report.
     obs::Registry metrics;
     client.export_metrics(metrics);
     harvest_stages(metrics, report);
@@ -368,11 +369,6 @@ run_one(const LoadConfig& load, size_t clients, size_t batch,
     if (!load.recorder_out.empty()) {
         server_config.recorder.enabled = true;
         server_config.recorder.output_prefix = load.recorder_out;
-        server_config.recorder.abort_rate_threshold =
-            load.abort_rate_trigger;
-        // Loadgen runs are short (hundreds of ms); sample fast enough
-        // that a spike is seen in several consecutive windows.
-        server_config.recorder.sample_period_ns = 2'000'000;
         server_config.recorder.include_trace = obs::telemetry_active();
     }
     server_config.monitor.enabled = load.monitor;
@@ -546,6 +542,31 @@ print_stage_table(const SweepRow& row)
     table.print();
 }
 
+/// Path of an incident file "<prefix>-<seq>.json" whose trigger is an
+/// SLO rule ("slo:<rule>"), or "" when none exists. The trigger sits
+/// in the file's leading "incident" header, so reading the head of
+/// each file is enough.
+std::string
+find_slo_incident(const std::string& prefix)
+{
+    glob_t found{};
+    std::string hit;
+    if (glob((prefix + "-*.json").c_str(), 0, nullptr, &found) == 0) {
+        for (size_t i = 0; i < found.gl_pathc && hit.empty(); ++i) {
+            FILE* file = std::fopen(found.gl_pathv[i], "r");
+            if (file == nullptr) continue;
+            char head[256] = {};
+            const size_t n = std::fread(head, 1, sizeof head - 1, file);
+            std::fclose(file);
+            if (n > 0 && std::strstr(head, "\"trigger\": \"slo:")) {
+                hit = found.gl_pathv[i];
+            }
+        }
+    }
+    globfree(&found);
+    return hit;
+}
+
 } // namespace
 } // namespace rococo
 
@@ -558,9 +579,8 @@ main(int argc, char** argv)
             {"clients", "batch", "shards", "requests", "outstanding",
              "reads", "writes", "keys", "socket", "csv", "stages",
              "tm-threads", "telemetry-server", "telemetry-client",
-             "zipf", "hot-keys", "recorder-out", "abort-rate-trigger",
-             "monitor", "prom-out", "slo-abort-rate", "slo-fast-ms",
-             "slo-slow-ms"});
+             "zipf", "hot-keys", "recorder-out", "monitor", "prom-out",
+             "slo-abort-rate", "slo-fast-ms", "slo-slow-ms"});
     LoadConfig load;
     load.socket_path = cli.get("socket", "/tmp/rococo_loadgen_" +
                                              std::to_string(getpid()) +
@@ -579,7 +599,6 @@ main(int argc, char** argv)
     load.hot_keys = static_cast<uint64_t>(
         std::max<int64_t>(0, cli.get_int("hot-keys", 0)));
     load.recorder_out = cli.get("recorder-out", "");
-    load.abort_rate_trigger = cli.get_double("abort-rate-trigger", 0.0);
     load.monitor = cli.get_bool("monitor", true);
     load.prom_out = cli.get("prom-out", "");
     load.slo_abort_rate = cli.get_double("slo-abort-rate", 0.0);
@@ -670,16 +689,17 @@ main(int argc, char** argv)
         }
     }
 
-    // An armed trigger that never fired is a failed run: the incident
-    // fixture (tests/) relies on this exit code, and interactively it
-    // catches a threshold set above the spike actually produced.
-    if (!load.recorder_out.empty() && load.abort_rate_trigger > 0) {
-        const std::string incident = load.recorder_out + "-1.json";
-        if (access(incident.c_str(), F_OK) != 0) {
+    // An armed recorder with an SLO threshold that never dumped an
+    // "slo:" incident is a failed run: the incident fixture (tests/)
+    // relies on this exit code, and interactively it catches a
+    // threshold set above the spike actually produced.
+    if (!load.recorder_out.empty() && load.slo_abort_rate > 0) {
+        const std::string incident = find_slo_incident(load.recorder_out);
+        if (incident.empty()) {
             std::fprintf(stderr,
-                         "svc_loadgen: recorder armed (threshold %.3f) but"
-                         " no incident was dumped (%s missing)\n",
-                         load.abort_rate_trigger, incident.c_str());
+                         "svc_loadgen: recorder armed (SLO abort-rate"
+                         " %.3f) but no slo: incident under %s-*.json\n",
+                         load.slo_abort_rate, load.recorder_out.c_str());
             return 1;
         }
         std::printf("incident: %s\n", incident.c_str());

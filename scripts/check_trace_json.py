@@ -62,11 +62,12 @@ pass as "no drops".
 
 --incident switches to validating a flight-recorder incident file
 (obs/flight_recorder.h) instead of a telemetry envelope: the "incident"
-header (trigger in {abort-rate, p99, manual}, pid, seq >= 1, t_ns), a
-non-empty "samples" ring with monotone timestamps and abort_rate in
-[0, 1], the "metrics" registry snapshot, the "topk" hot-key table
-(entries sorted by count, error <= count), and a "traceEvents" list
-(possibly empty) in the usual Chrome shape.
+header (trigger "manual" or "slo:<rule>", pid, seq >= 1, t_ns), the
+"metrics" registry snapshot, the "topk" hot-key table (entries sorted
+by count, error <= count), the "health" look-back (the monitor's
+status with health.enabled true and at least one sampled point; each
+series' t_ns monotone, ratio-series values in [0, 1]) and a
+"traceEvents" list (possibly empty) in the usual Chrome shape.
 
 Exit status 0 if all checks pass; 1 with a message on stderr otherwise.
 
@@ -326,18 +327,57 @@ def check_flows(events, max_orphans, require):
     return linked
 
 
-INCIDENT_TRIGGERS = ("abort-rate", "p99", "manual")
+INCIDENT_TRIGGERS = ("manual",)
 # SLO-triggered incidents (obs/health.cc) use "slo:<rule-name>".
 SLO_TRIGGER_PREFIX = "slo:"
-SAMPLE_KEYS = (
-    "t_ns", "aborts", "total", "abort_rate", "p99_ns", "queue_depth",
-    "imbalance",
-)
+
+
+def check_incident_health(health):
+    """The "health" section is the look-back of every incident: the
+    HealthMonitor's status (obs/health.cc status_json) with at least
+    one sampled point, time-ordered rings and ratio values in [0, 1]
+    (the sampler clamps kRatio series).
+    """
+    if not isinstance(health, dict) or health.get("enabled") is not True:
+        fail("incident lacks health.enabled: true (an armed recorder "
+             "always has a monitor)")
+    verdict = health.get("health")
+    if not isinstance(verdict, dict) or "state" not in verdict:
+        fail("incident lacks health.health.state")
+    samples = health.get("samples")
+    if not isinstance(samples, dict) or not isinstance(
+            samples.get("series"), list):
+        fail("incident lacks health.samples.series (the sampler rings)")
+    points = 0
+    for i, series in enumerate(samples["series"]):
+        name = series.get("name", f"#{i}")
+        ring = series.get("points")
+        if not isinstance(ring, list):
+            fail(f"health series {name} lacks a points array")
+        last_t = None
+        for j, point in enumerate(ring):
+            if not isinstance(point, list) or len(point) != 3:
+                fail(f"health series {name} point {j} is not "
+                     f"[t_ns, raw, value]")
+            t_ns, _, value = point
+            if last_t is not None and t_ns < last_t:
+                fail(f"health series {name} point {j}: t_ns goes "
+                     f"backwards (ring rotation must preserve time order)")
+            last_t = t_ns
+            if (series.get("kind") == "ratio" and value is not None
+                    and not 0 <= value <= 1):
+                fail(f"health series {name} point {j}: ratio {value} "
+                     f"outside [0, 1]")
+        points += len(ring)
+    if points == 0:
+        fail("health.samples.series holds no sampled point (the "
+             "incident has no look-back)")
+    return points
 
 
 def check_incident(doc):
     """Validate a flight-recorder incident file (obs/flight_recorder.cc
-    dump_locked writes it; svcctl dump / the trigger rules produce it).
+    dump writes it; svcctl dump and critical SLO rules produce it).
     """
     if not isinstance(doc, dict):
         fail("top level is not a JSON object")
@@ -355,23 +395,6 @@ def check_incident(doc):
             fail(f"incident.{key} missing or not an integer")
     if header["seq"] < 1:
         fail(f"incident.seq = {header['seq']} (numbered from 1)")
-
-    samples = doc.get("samples")
-    if not isinstance(samples, list) or not samples:
-        fail('missing or empty "samples" array (the recorder ring '
-             "always holds the triggering sample)")
-    last_t = None
-    for i, sample in enumerate(samples):
-        for key in SAMPLE_KEYS:
-            if key not in sample:
-                fail(f"samples[{i}] lacks required key {key!r}")
-        if not 0 <= sample["abort_rate"] <= 1:
-            fail(f"samples[{i}].abort_rate = {sample['abort_rate']} "
-                 f"outside [0, 1]")
-        if last_t is not None and sample["t_ns"] < last_t:
-            fail(f"samples[{i}].t_ns goes backwards (ring rotation "
-                 f"must preserve time order)")
-        last_t = sample["t_ns"]
 
     check_metrics_shape(doc)
 
@@ -397,20 +420,7 @@ def check_incident(doc):
                      f"descending count")
             prev_count = entry["count"]
 
-    health = doc.get("health")
-    if not isinstance(health, dict):
-        fail('missing "health" object ({} when no monitor is attached)')
-    if is_slo:
-        # An SLO-triggered dump always comes from a live HealthMonitor,
-        # so the embedded status must carry the verdict that fired.
-        if health.get("enabled") is not True:
-            fail("slo-triggered incident lacks health.enabled: true")
-        verdict = health.get("health")
-        if not isinstance(verdict, dict) or "state" not in verdict:
-            fail("slo-triggered incident lacks health.health.state")
-        if not isinstance(health.get("samples"), dict):
-            fail("slo-triggered incident lacks health.samples (the "
-             "breaching series rings)")
+    points = check_incident_health(doc.get("health"))
 
     events = doc.get("traceEvents")
     if not isinstance(events, list):
@@ -419,7 +429,7 @@ def check_incident(doc):
 
     print(
         f"check_trace_json: OK: incident ({trigger}, seq "
-        f"{header['seq']}), {len(samples)} samples, "
+        f"{header['seq']}), {points} health points, "
         f"{sum(len(s.get('entries', [])) for s in topk['shards'])} "
         f"hot keys, {len(events)} events"
     )

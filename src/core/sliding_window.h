@@ -72,7 +72,7 @@ struct ValidationResult
     /// transaction this one collided with (a witness of the cycle —
     /// cycles through several commits name the first found). Backends
     /// that cannot attribute the abort (timeouts, rejections, window
-    /// overflows, v1 wire peers) leave kNoConflictCid.
+    /// overflows) leave kNoConflictCid.
     uint64_t conflict_cid = kNoConflictCid;
 };
 

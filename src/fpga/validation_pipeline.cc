@@ -1,8 +1,6 @@
 #include "fpga/validation_pipeline.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "common/spin_wait.h"
 #include "obs/clock.h"
@@ -170,9 +168,6 @@ ValidationPipeline::worker_loop()
         if (obs::telemetry_active()) {
             queue_depth_gauge_.set(static_cast<double>(depth));
         }
-        // Off the engine-lock section: sampling takes the recorder's
-        // own lock and never touches the slot just resolved.
-        if (recorder_ != nullptr) recorder_->tick(obs::now_ns());
 
         lock.lock();
     }
@@ -305,36 +300,6 @@ std::shared_ptr<const sig::SignatureConfig>
 ValidationPipeline::signature_config() const
 {
     return engine_.signature_config();
-}
-
-void
-ValidationPipeline::topk_json(std::string* out) const
-{
-    char buf[128];
-    out->clear();
-    obs::TopK::Entry top[obs::TopK::kCapacity];
-    size_t n = 0;
-    uint64_t offered = 0;
-    {
-        std::lock_guard<std::mutex> lock(engine_mutex_);
-        const obs::TopK& sketch = engine_.conflict_topk();
-        offered = sketch.offered();
-        n = sketch.snapshot(top, obs::TopK::kCapacity);
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "{\"shards\": [{\"shard\": 0, \"offered\": %" PRIu64
-                  ", \"entries\": [",
-                  offered);
-    *out += buf;
-    for (size_t i = 0; i < n; ++i) {
-        std::snprintf(buf, sizeof(buf),
-                      "%s{\"key\": %" PRIu64 ", \"count\": %" PRIu64
-                      ", \"error\": %" PRIu64 "}",
-                      i == 0 ? "" : ", ", top[i].key, top[i].count,
-                      top[i].error);
-        *out += buf;
-    }
-    *out += "]}]}";
 }
 
 void

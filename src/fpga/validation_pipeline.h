@@ -41,7 +41,6 @@
 #include "core/sliding_window.h"
 #include "fpga/validation_backend.h"
 #include "fpga/validation_engine.h"
-#include "obs/flight_recorder.h"
 #include "obs/registry.h"
 
 namespace rococo::fpga {
@@ -110,20 +109,6 @@ class ValidationPipeline final : public ValidationBackend
     /// Signature geometry shared with CPU-side eager detection.
     std::shared_ptr<const sig::SignatureConfig> signature_config()
         const override;
-
-    /// Attach a flight recorder (non-owning, may be nullptr to detach):
-    /// the worker ticks it once per processed request, off the
-    /// engine-lock hot section. Call before traffic starts — the
-    /// pointer is read by the worker without synchronization.
-    void attach_flight_recorder(obs::FlightRecorder* recorder)
-    {
-        recorder_ = recorder;
-    }
-
-    /// Serialize the engine's conflict top-K table in the same
-    /// single-key shape the shard router exports ({"shards": [...]}
-    /// with one entry), so svcctl/incident tooling parses both.
-    void topk_json(std::string* out) const;
 
     /// Stop the worker. Requests still queued are NOT drained through
     /// the engine: their futures resolve immediately with
@@ -211,9 +196,6 @@ class ValidationPipeline final : public ValidationBackend
     obs::LatencyHistogram& stage_queue_hist_;
     obs::LatencyHistogram& stage_engine_hist_;
     obs::LatencyHistogram& stage_link_hist_;
-
-    /// Optional flight recorder (see attach_flight_recorder()).
-    obs::FlightRecorder* recorder_ = nullptr;
 
     std::thread worker_;
 };

@@ -35,7 +35,7 @@ struct KvStoreConfig
     /// probe window fill up (kNoSpace) and inflate kv.key_collisions.
     size_t capacity = size_t{1} << 16;
     /// The underlying runtime's configuration — validation shards,
-    /// validation service socket, recorder/monitor, all pass through
+    /// validation service socket, deadline, all pass through
     /// (docs/SERVICE.md, docs/SHARDING.md).
     tm::RococoTmConfig tm;
 };

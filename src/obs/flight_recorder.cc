@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -14,8 +13,6 @@ namespace rococo::obs {
 FlightRecorder::FlightRecorder(FlightRecorderConfig config, Collector collect)
     : config_(std::move(config)), collect_(std::move(collect))
 {
-    if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-    ring_.resize(config_.ring_capacity);
 }
 
 void
@@ -32,106 +29,11 @@ FlightRecorder::set_health_source(std::function<void(std::string*)> source)
     health_source_ = std::move(source);
 }
 
-void
-FlightRecorder::tick(uint64_t now_ns)
-{
-    // Fast pre-check outside the lock: torn reads of last_sample_ns_
-    // are impossible on the platforms we target (aligned u64), and a
-    // stale value only skews one sampling decision by a period.
-    if (now_ns - last_sample_ns_ < config_.sample_period_ns) return;
-    std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) return;
-    if (now_ns - last_sample_ns_ < config_.sample_period_ns) return;
-    sample_locked(now_ns);
-}
-
-void
-FlightRecorder::sample_locked(uint64_t now_ns)
-{
-    const Sample* prev =
-        ring_size_ > 0
-            ? &ring_[(ring_head_ + ring_size_ - 1) % ring_.size()]
-            : nullptr;
-
-    scratch_.reset();
-    if (collect_) collect_(scratch_);
-
-    Sample s;
-    s.t_ns = now_ns;
-    for (const auto& name : config_.abort_counters)
-        s.aborts += scratch_.get(name);
-    for (const auto& name : config_.total_counters)
-        s.total += scratch_.get(name);
-    if (!config_.watch_histogram.empty())
-        s.p99_ns = scratch_.histogram(config_.watch_histogram).quantile(0.99);
-    if (!config_.queue_gauge.empty())
-        s.queue_depth = scratch_.gauge(config_.queue_gauge).value();
-    if (!config_.imbalance_gauge.empty())
-        s.imbalance = scratch_.gauge(config_.imbalance_gauge).value();
-
-    // Rate over the inter-sample delta, not the lifetime ratio: the
-    // trigger must see a *spike*, and a long healthy run would otherwise
-    // dilute it below threshold forever.
-    if (prev != nullptr && s.total >= prev->total) {
-        const uint64_t dt = s.total - prev->total;
-        const uint64_t da = s.aborts >= prev->aborts ? s.aborts - prev->aborts
-                                                     : 0;
-        if (dt >= config_.min_delta_total && dt > 0) {
-            // Clamped: the collector reads live counters one by one,
-            // so under a full-tilt abort storm the abort delta can
-            // slightly outrun the total read a moment earlier.
-            s.abort_rate = std::min(
-                1.0, static_cast<double>(da) / static_cast<double>(dt));
-        }
-    }
-
-    if (ring_size_ < ring_.size()) {
-        ring_[(ring_head_ + ring_size_) % ring_.size()] = s;
-        ++ring_size_;
-    } else {
-        ring_[ring_head_] = s;
-        ring_head_ = (ring_head_ + 1) % ring_.size();
-    }
-    last_sample_ns_ = now_ns;
-    ++samples_taken_;
-
-    const bool cooled =
-        last_trigger_ns_ == 0 ||
-        now_ns - last_trigger_ns_ >= config_.cooldown_ns;
-    if (!cooled) return;
-    const char* trigger = nullptr;
-    if (config_.abort_rate_threshold > 0.0 &&
-        s.abort_rate > config_.abort_rate_threshold) {
-        trigger = "abort-rate";
-    } else if (config_.p99_threshold_ns > 0 &&
-               s.p99_ns > config_.p99_threshold_ns) {
-        trigger = "p99";
-    }
-    if (trigger != nullptr) {
-        last_trigger_ns_ = now_ns;
-        dump_locked(trigger, now_ns);
-    }
-}
-
 std::string
 FlightRecorder::dump(const char* trigger)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return dump_locked(trigger, obs::now_ns());
-}
-
-std::string
-FlightRecorder::trigger(const char* name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
     const uint64_t now_ns = obs::now_ns();
-    last_trigger_ns_ = now_ns;
-    return dump_locked(name, now_ns);
-}
-
-std::string
-FlightRecorder::dump_locked(const char* trigger, uint64_t now_ns)
-{
     const uint64_t seq = next_seq_++;
     char buf[192];
     std::string path = config_.output_prefix;
@@ -148,26 +50,10 @@ FlightRecorder::dump_locked(const char* trigger, uint64_t now_ns)
                   trigger, static_cast<int>(::getpid()), seq, now_ns);
     out << buf;
 
-    out << "\"samples\": [";
-    for (size_t i = 0; i < ring_size_; ++i) {
-        const Sample& s = ring_[(ring_head_ + i) % ring_.size()];
-        std::snprintf(buf, sizeof buf,
-                      "%s\n{\"t_ns\": %" PRIu64 ", \"aborts\": %" PRIu64
-                      ", \"total\": %" PRIu64 ", \"abort_rate\": %g"
-                      ", \"p99_ns\": %" PRIu64 ", \"queue_depth\": %g"
-                      ", \"imbalance\": %g}",
-                      i == 0 ? "" : ",", s.t_ns, s.aborts, s.total,
-                      s.abort_rate, s.p99_ns, s.queue_depth, s.imbalance);
-        out << buf;
-    }
-    out << "\n],\n";
-
-    // The last sample already collected a fresh snapshot into scratch_;
-    // re-collect so a manual dump between samples is not stale.
-    scratch_.reset();
-    if (collect_) collect_(scratch_);
+    Registry metrics;
+    if (collect_) collect_(metrics);
     out << "\"metrics\": ";
-    scratch_.to_json(out);
+    metrics.to_json(out);
     out << ",\n\"topk\": ";
     if (topk_source_) {
         std::string topk;
@@ -207,13 +93,6 @@ FlightRecorder::dump_locked(const char* trigger, uint64_t now_ns)
     ++dumps_;
     last_path_ = path;
     return path;
-}
-
-uint64_t
-FlightRecorder::samples_taken() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return samples_taken_;
 }
 
 uint64_t

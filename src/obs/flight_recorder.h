@@ -1,41 +1,37 @@
 /// @file
-/// Always-on flight recorder with triggered incident dumps.
+/// Flight recorder: the incident writer of the monitoring pipeline.
 ///
-/// A FlightRecorder periodically samples a small set of registry series
-/// (abort rate, a watched latency p99, queue depth, shard imbalance)
-/// into a bounded in-memory ring — the "what did the system look like
-/// right before it went wrong" record. Trigger rules evaluated at each
-/// sample (abort-rate threshold, p99 threshold) — or a manual dump
-/// (svcctl dump / the kDump wire op) — atomically write the ring, a
-/// full metrics snapshot, the hot-key top-K table and (optionally) the
-/// tracer ring contents as one timestamped JSON incident file,
-/// validated by scripts/check_trace_json.py --incident.
+/// A FlightRecorder writes one timestamped JSON incident file per
+/// dump(): a full metrics snapshot, the hot-key top-K table, the
+/// health section (the HealthMonitor's sampler rings + SLO verdicts —
+/// the "what did the system look like right before it went wrong"
+/// look-back) and, optionally, the tracer ring contents. Dumps come
+/// from two places: an SLO rule going critical (trigger
+/// "slo:<rule>", wired by HealthMonitor::set_incident_recorder) and a
+/// manual request (svcctl dump / the kDump wire op, trigger
+/// "manual"). The recorder samples nothing and evaluates no rule of
+/// its own. scripts/check_trace_json.py --incident validates the
+/// files.
 ///
-/// Threading: the recorder owns NO thread. Owners call tick(now) from
-/// a loop they already run (svc::Server's poll loop, the
-/// ValidationPipeline worker, the TM commit path); tick() is cheap when
-/// no sample is due (one load + compare) and uses try_lock so two
-/// owners never contend — a skipped tick is just a slightly late
-/// sample. dump() takes the lock and may block briefly.
+/// Threading: the recorder owns NO thread; dump() takes the lock and
+/// may block briefly while the file is written.
 ///
 /// Tracer caveat: including trace events (config.include_trace) reads
 /// the per-thread rings without locking out their owners, exactly like
 /// TelemetrySession export. It is only safe when dump() runs on the
 /// (sole) span-writing thread or while writers are quiescent — true
 /// for svc::Server, whose service thread records every server span and
-/// also runs tick()/kDump. Leave it off elsewhere.
+/// also runs the monitor tick and kDump. Leave it off elsewhere.
 ///
-/// Allocation: sampling reuses a preallocated ring and a scratch
-/// registry whose metric maps stabilize after the first sample; the
-/// request hot path never calls into the recorder at all, so the
-/// zero-allocation envelope (tests/hotpath_alloc_test.cc) is untouched.
+/// Allocation: only dump() allocates; the request hot path never calls
+/// into the recorder, so the zero-allocation envelope
+/// (tests/hotpath_alloc_test.cc) is untouched.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/registry.h"
 
@@ -51,32 +47,6 @@ struct FlightRecorderConfig
     /// partial file. Embed a pid in the prefix when several processes
     /// share a directory.
     std::string output_prefix = "incident";
-    /// Sampling period; a sample is taken on the first tick() at least
-    /// this long after the previous one.
-    uint64_t sample_period_ns = 10'000'000; // 10 ms
-    /// Ring capacity in samples (the incident's look-back horizon:
-    /// capacity x period).
-    size_t ring_capacity = 256;
-    /// Counters summed into the "aborts" / "total" series of the
-    /// abort-rate trigger (e.g. svc.verdict.abort-cycle et al. vs.
-    /// svc.requests). Missing names read as 0.
-    std::vector<std::string> abort_counters;
-    std::vector<std::string> total_counters;
-    /// Histogram whose p99 is sampled and (optionally) triggered on.
-    std::string watch_histogram;
-    /// Gauges sampled alongside; empty names sample as 0.
-    std::string queue_gauge;
-    std::string imbalance_gauge;
-    /// Trigger: abort-rate (Δaborts/Δtotal between consecutive samples)
-    /// above this fires a dump. 0 disables the rule.
-    double abort_rate_threshold = 0.0;
-    /// Minimum Δtotal before the abort-rate rule may fire, so a single
-    /// abort in an idle period cannot trip it.
-    uint64_t min_delta_total = 16;
-    /// Trigger: watched p99 above this (ns) fires a dump. 0 disables.
-    uint64_t p99_threshold_ns = 0;
-    /// Minimum gap between *triggered* dumps (manual dumps ignore it).
-    uint64_t cooldown_ns = 1'000'000'000;
     /// Include the tracer rings in incident files (see the caveat in
     /// the file comment).
     bool include_trace = false;
@@ -85,32 +55,15 @@ struct FlightRecorderConfig
 class FlightRecorder
 {
   public:
-    /// One ring entry. Counter fields are cumulative at sample time;
-    /// abort_rate is the delta rate against the previous sample.
-    struct Sample
-    {
-        uint64_t t_ns = 0;
-        uint64_t aborts = 0;
-        uint64_t total = 0;
-        uint64_t p99_ns = 0;
-        double abort_rate = 0.0;
-        double queue_depth = 0.0;
-        double imbalance = 0.0;
-    };
-
-    /// @p collect fills a scratch registry with the current metrics
+    /// @p collect fills an empty registry with the current metrics
     /// (typically: merge the owner's registry, then export derived
-    /// gauges). Called under the recorder lock at every sample; the
-    /// scratch is reset (values zeroed, names kept) beforehand, so the
-    /// steady state re-uses its maps.
+    /// gauges). Called under the recorder lock at every dump.
     using Collector = std::function<void(Registry&)>;
 
     FlightRecorder(FlightRecorderConfig config, Collector collect);
 
     FlightRecorder(const FlightRecorder&) = delete;
     FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-    const FlightRecorderConfig& config() const { return config_; }
 
     /// Serialized top-K JSON included in incidents (the ShardRouter's
     /// topk_json). Called under the recorder lock at dump time.
@@ -123,45 +76,22 @@ class FlightRecorder
     /// must not call back into this recorder.
     void set_health_source(std::function<void(std::string*)> source);
 
-    /// Sample if due, evaluate triggers, dump if one fired. Cheap when
-    /// not due; skips (rather than blocks) when another thread holds
-    /// the recorder.
-    void tick(uint64_t now_ns);
-
     /// Write an incident file now. @p trigger names the cause in the
-    /// file ("manual", "abort-rate", "p99"). Returns the final path, or
-    /// "" on I/O failure.
+    /// file ("manual", "slo:<rule>"). Returns the final path, or "" on
+    /// I/O failure.
     std::string dump(const char* trigger);
 
-    /// External trigger source (the SloEngine's critical transitions,
-    /// trigger "slo:<rule>"): dump now like a threshold trigger —
-    /// unconditionally, but arming the cooldown so the recorder's own
-    /// threshold rules stay quiet for cooldown_ns afterwards. The
-    /// caller provides its own rate limiting (SLO hysteresis).
-    std::string trigger(const char* name);
-
-    uint64_t samples_taken() const;
     uint64_t dumps() const;
     /// Path of the most recent incident file ("" if none yet).
     std::string last_dump_path() const;
 
   private:
-    void sample_locked(uint64_t now_ns);
-    std::string dump_locked(const char* trigger, uint64_t now_ns);
-
     FlightRecorderConfig config_;
     Collector collect_;
     std::function<void(std::string*)> topk_source_;
     std::function<void(std::string*)> health_source_;
 
     mutable std::mutex mutex_;
-    Registry scratch_;          ///< collector target, reset per sample
-    std::vector<Sample> ring_;  ///< preallocated, ring_capacity entries
-    size_t ring_head_ = 0;      ///< index of the oldest sample
-    size_t ring_size_ = 0;
-    uint64_t last_sample_ns_ = 0;
-    uint64_t last_trigger_ns_ = 0;
-    uint64_t samples_taken_ = 0;
     uint64_t dumps_ = 0;
     uint64_t next_seq_ = 1;
     std::string last_path_;

@@ -195,7 +195,7 @@ HealthMonitor::set_incident_recorder(FlightRecorder* recorder)
         // Allocation here is fine: transitions are rare by
         // construction (hysteresis), and the dump itself writes a file.
         const std::string trigger = "slo:" + rule.name;
-        recorder->trigger(trigger.c_str());
+        recorder->dump(trigger.c_str());
     });
     recorder->set_health_source(
         [this](std::string* out) { status_json(out); });

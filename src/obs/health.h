@@ -20,16 +20,16 @@
 /// consecutive calmer evaluations (hysteresis), so a flapping series
 /// produces one incident, not one per oscillation.
 ///
-/// The engine is wired into the FlightRecorder as a trigger source: a
+/// The engine is the FlightRecorder's only automatic trigger: a
 /// transition *into* kCritical fires an incident dump named
 /// "slo:<rule>", and every incident (whatever its trigger) embeds the
 /// sampler rings + rule verdicts via the recorder's health source — the
 /// offending series ships inside the incident file.
 ///
 /// HealthMonitor composes sampler + engine behind the single tick()
-/// owners already call (svc::Server's poll loop, the TM per-attempt
-/// tick). Steady-state ticks are allocation-free; only a state
-/// transition (rare by construction) allocates, in the dump path.
+/// its owner already calls (svc::Server's poll loop). Steady-state
+/// ticks are allocation-free; only a state transition (rare by
+/// construction) allocates, in the dump path.
 #pragma once
 
 #include <cstdint>
@@ -148,14 +148,14 @@ class SloEngine
 };
 
 /// Owner-facing knobs for the default monitoring stack (the server's
-/// ServerConfig::monitor / the TM's RococoTmConfig::monitor). A
-/// threshold of 0 disables that rule; the series are sampled
-/// regardless, so svcctl watch/monitor always have data.
+/// ServerConfig::monitor). A threshold of 0 disables that rule; the
+/// series are sampled regardless, so svcctl watch/monitor always have
+/// data.
 struct MonitorConfig
 {
-    /// Master switch. The server defaults it on (monitoring is the
-    /// point of running a service); the TM defaults it off like the
-    /// flight recorder (library embedders opt in).
+    /// Master switch, on by default (monitoring is the point of
+    /// running a service). An armed flight recorder builds the monitor
+    /// even when this is off: its incidents need the rings.
     bool enabled = true;
     uint64_t sample_period_ns = 250'000'000; // 250 ms
     size_t ring_capacity = 256;              ///< 64 s at 250 ms

@@ -79,8 +79,8 @@ MetricSampler::index_of(const std::string& name) const
 bool
 MetricSampler::tick(uint64_t now_ns)
 {
-    // Same fast pre-check as FlightRecorder::tick — a torn/stale read
-    // of last_sample_ns_ only skews one sampling decision by a period.
+    // Fast pre-check outside the lock: a torn/stale read of
+    // last_sample_ns_ only skews one sampling decision by a period.
     if (now_ns - last_sample_ns_ < config_.sample_period_ns) return false;
     std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
     if (!lock.owns_lock()) return false;
@@ -110,12 +110,8 @@ MetricSampler::sample_locked(uint64_t now_ns)
         switch (s.spec.kind) {
         case SeriesKind::kCounter: {
             double cum = 0.0;
-            if (!s.spec.counters.empty()) {
-                for (const Counter* c : s.spec.counters)
-                    cum += static_cast<double>(c->value());
-            } else if (s.spec.callback) {
-                cum = s.spec.callback();
-            }
+            for (const Counter* c : s.spec.counters)
+                cum += static_cast<double>(c->value());
             p.raw = cum;
             if (s.primed && dt_s > 0.0) {
                 p.delta = std::max(0.0, cum - s.prev_num);
@@ -128,24 +124,16 @@ MetricSampler::sample_locked(uint64_t now_ns)
         }
         case SeriesKind::kRatio: {
             double num = 0.0, den = 0.0;
-            if (!s.spec.counters.empty()) {
-                for (const Counter* c : s.spec.counters)
-                    num += static_cast<double>(c->value());
-            } else if (s.spec.callback) {
-                num = s.spec.callback();
-            }
-            if (!s.spec.denominators.empty()) {
-                for (const Counter* c : s.spec.denominators)
-                    den += static_cast<double>(c->value());
-            } else if (s.spec.weight_callback) {
-                den = s.spec.weight_callback();
-            }
+            for (const Counter* c : s.spec.counters)
+                num += static_cast<double>(c->value());
+            for (const Counter* c : s.spec.denominators)
+                den += static_cast<double>(c->value());
             if (s.primed) {
                 const double dnum = std::max(0.0, num - s.prev_num);
                 const double dden = std::max(0.0, den - s.prev_den);
-                // Clamped like the recorder's abort rate: the sources
-                // are read one by one, so under a full-tilt storm the
-                // numerator delta can slightly outrun the denominator.
+                // Clamped: the sources are read one by one, so under a
+                // full-tilt storm the numerator delta can slightly
+                // outrun the denominator.
                 p.value = dden > 0.0 ? std::min(1.0, dnum / dden) : 0.0;
                 p.raw = p.value;
                 p.delta = dnum;

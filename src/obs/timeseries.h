@@ -11,11 +11,11 @@
 /// its multi-window burn-rate rules over, and the payload of the
 /// kSeries wire op (svcctl watch / svcctl monitor).
 ///
-/// Threading: like the FlightRecorder, the sampler owns NO thread.
-/// Owners call tick(now) from a loop they already run (svc::Server's
-/// poll loop, the TM per-attempt tick); tick() is one load + compare
-/// when no sample is due and uses try_lock so concurrent owners never
-/// contend. Readers (window(), to_json()) take the same mutex.
+/// Threading: the sampler owns NO thread. Owners call tick(now) from
+/// a loop they already run (svc::Server's poll loop); tick() is one
+/// load + compare when no sample is due and uses try_lock so
+/// concurrent owners never contend. Readers (window(), to_json()) take
+/// the same mutex.
 ///
 /// Allocation: construction resolves every source (metric pointers or
 /// captured callbacks) and preallocates every ring; a steady-state
@@ -46,11 +46,9 @@ enum class SeriesKind : uint8_t
 
 const char* to_string(SeriesKind kind);
 
-/// One configured series. Sources are either direct metric pointers
-/// (resolve them once, like the server's hoisted handles) or callbacks;
-/// for kCounter/kRatio a callback may replace the pointer list when the
-/// cumulative value is not a single registry counter (e.g. the TM's
-/// live per-thread descriptor sums).
+/// One configured series. Sources are direct metric pointers (resolve
+/// them once, like the server's hoisted handles) or, for kCallback, an
+/// arbitrary callback.
 struct SeriesSpec
 {
     std::string name;
@@ -59,10 +57,7 @@ struct SeriesSpec
     std::vector<const Counter*> counters;
     /// kRatio: denominator sum.
     std::vector<const Counter*> denominators;
-    /// kCounter/kRatio numerator fallback when counters is empty.
-    std::function<double()> callback;
-    /// kRatio denominator fallback when denominators is empty.
-    std::function<double()> weight_callback;
+    std::function<double()> callback;            ///< kCallback source
     const Gauge* gauge = nullptr;                ///< kGauge source
     const LatencyHistogram* histogram = nullptr; ///< kQuantile source
     double quantile = 0.99;                      ///< kQuantile q

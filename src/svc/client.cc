@@ -278,10 +278,6 @@ ValidationClient::reader_loop()
         reader.append(buf, static_cast<size_t>(n));
         bool malformed = false;
         while (auto frame = reader.next(&malformed)) {
-            if (frame->type != MsgType::kResponse &&
-                frame->type != MsgType::kResponseV2) {
-                continue;
-            }
             auto response = decode_response(frame->type, frame->payload,
                                             frame->size);
             if (!response) continue;
@@ -319,27 +315,25 @@ ValidationClient::reader_loop()
             }
             const uint64_t rtt_ns = obs::now_ns() - enter_ns;
             rpc_ns_.record(rtt_ns);
-            if (response->has_stages) {
-                // Stage attribution: client_queue is measured here,
-                // server stages travel in the response, and wire is the
-                // residual — so the stage means sum to the measured
-                // round trip by construction (link is modeled, never
-                // part of the sum).
-                const StageTimestamps& s = response->stages;
-                const uint64_t client_queue_ns = sent_ns - enter_ns;
-                const uint64_t server_ns = s.server_queue_ns +
-                                           s.batch_wait_ns + s.engine_ns;
-                const uint64_t wire_ns =
-                    rtt_ns > client_queue_ns + server_ns
-                        ? rtt_ns - client_queue_ns - server_ns
-                        : 0;
-                stage_client_queue_.record(client_queue_ns);
-                stage_wire_.record(wire_ns);
-                stage_server_queue_.record(s.server_queue_ns);
-                stage_batch_wait_.record(s.batch_wait_ns);
-                stage_engine_.record(s.engine_ns);
-                stage_link_.record(s.link_ns);
-            }
+            // Stage attribution: client_queue is measured here,
+            // server stages travel in the response, and wire is the
+            // residual — so the stage means sum to the measured
+            // round trip by construction (link is modeled, never
+            // part of the sum).
+            const StageTimestamps& s = response->stages;
+            const uint64_t client_queue_ns = sent_ns - enter_ns;
+            const uint64_t server_ns = s.server_queue_ns +
+                                       s.batch_wait_ns + s.engine_ns;
+            const uint64_t wire_ns =
+                rtt_ns > client_queue_ns + server_ns
+                    ? rtt_ns - client_queue_ns - server_ns
+                    : 0;
+            stage_client_queue_.record(client_queue_ns);
+            stage_wire_.record(wire_ns);
+            stage_server_queue_.record(s.server_queue_ns);
+            stage_batch_wait_.record(s.batch_wait_ns);
+            stage_engine_.record(s.engine_ns);
+            stage_link_.record(s.link_ns);
             bool promised = false;
             std::promise<core::ValidationResult> promise;
             if (slot->promised) {

@@ -91,7 +91,7 @@ class ValidationClient final : public fpga::ValidationBackend
     /// Merge client metrics ("svc.client.*", including the
     /// svc.client.rpc_ns round-trip histogram and the client-observed
     /// per-stage breakdown svc.stage.{client_queue,wire,server_queue,
-    /// batch_wait,engine,link} fed from v2 responses) into @p registry.
+    /// batch_wait,engine,link} fed from the responses) into @p registry.
     /// client_queue and the wire residual are measured here; the server
     /// stages are the durations the server shipped back.
     void export_metrics(obs::Registry& registry) const override;
@@ -173,7 +173,7 @@ class ValidationClient final : public fpga::ValidationBackend
     obs::Counter& timeout_;
     obs::Counter& late_;
     /// Wire verdicts carrying abort provenance (a non-sentinel
-    /// conflict_cid in a v2 response).
+    /// conflict_cid in a response).
     obs::Counter& conflict_attributed_;
     obs::Counter* verdict_[core::kVerdictCount];
     obs::LatencyHistogram& rpc_ns_;

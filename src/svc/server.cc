@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -72,28 +73,9 @@ Server::Server(const ServerConfig& config)
     config_.max_out_bytes =
         std::max(config_.max_out_bytes, kResponseFrameBytes);
 
-    if (config_.recorder.enabled) {
-        // Empty watch lists default to the service series.
-        obs::FlightRecorderConfig rec = config_.recorder;
-        if (rec.abort_counters.empty()) {
-            rec.abort_counters = {"svc.verdict.abort-cycle"};
-        }
-        if (rec.total_counters.empty()) rec.total_counters = {"svc.requests"};
-        if (rec.watch_histogram.empty()) rec.watch_histogram = "svc.rpc_ns";
-        if (rec.queue_gauge.empty()) rec.queue_gauge = "svc.queue_depth";
-        if (rec.imbalance_gauge.empty()) {
-            rec.imbalance_gauge = "shard.imbalance";
-        }
-        recorder_ = std::make_unique<obs::FlightRecorder>(
-            std::move(rec), [this](obs::Registry& out) {
-                out.merge(registry_);
-                router_.export_metrics(out);
-            });
-        recorder_->set_topk_source(
-            [this](std::string* out) { router_.topk_json(out); });
-    }
-
-    if (config_.monitor.enabled) {
+    // An armed recorder needs the monitor: its rings are the incident
+    // look-back and its SLO rules the recorder's only automatic trigger.
+    if (config_.monitor.enabled || config_.recorder.enabled) {
         const obs::MonitorConfig& mon = config_.monitor;
         obs::MetricSamplerConfig sampler;
         sampler.sample_period_ns = mon.sample_period_ns;
@@ -174,7 +156,7 @@ Server::Server(const ServerConfig& config)
             return r;
         };
         // Aborts need real traffic behind them (min 16 requests per
-        // fast window, matching the recorder's min_delta_total).
+        // fast window), so an idle blip cannot trip the rule.
         slo.rules.push_back(
             rule("abort-rate", "svc.abort_rate",
                  mon.abort_rate_threshold, 16.0));
@@ -192,7 +174,16 @@ Server::Server(const ServerConfig& config)
 
         monitor_ = std::make_unique<obs::HealthMonitor>(std::move(sampler),
                                                         std::move(slo));
-        if (recorder_) monitor_->set_incident_recorder(recorder_.get());
+    }
+    if (config_.recorder.enabled) {
+        recorder_ = std::make_unique<obs::FlightRecorder>(
+            config_.recorder, [this](obs::Registry& out) {
+                out.merge(registry_);
+                router_.export_metrics(out);
+            });
+        recorder_->set_topk_source(
+            [this](std::string* out) { router_.topk_json(out); });
+        monitor_->set_incident_recorder(recorder_.get());
     }
 }
 
@@ -209,25 +200,35 @@ Server::start()
     listen_fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
     if (listen_fd_ < 0) return false;
 
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.socket_path.size() >= sizeof(addr.sun_path)) {
+    // Bind and listen on a private path, then rename() it onto
+    // socket_path: the published path only ever names a socket that
+    // already accepts, so a client that sees it can connect at once
+    // (binding socket_path directly would expose it between bind()
+    // and listen(), where connect() fails with ECONNREFUSED).
+    const std::string tmp_path =
+        config_.socket_path + "." + std::to_string(getpid()) + ".tmp";
+    const auto fail = [&] {
+        for (int& fd : wake_fds_) {
+            if (fd >= 0) close(fd);
+            fd = -1;
+        }
         close(listen_fd_);
         listen_fd_ = -1;
+        unlink(tmp_path.c_str());
         return false;
-    }
-    std::strncpy(addr.sun_path, config_.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    unlink(config_.socket_path.c_str());
+    };
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (tmp_path.size() >= sizeof(addr.sun_path)) return fail();
+    std::strncpy(addr.sun_path, tmp_path.c_str(), sizeof(addr.sun_path) - 1);
+    unlink(tmp_path.c_str());
 
     if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
         listen(listen_fd_, SOMAXCONN) != 0 || !set_nonblocking(listen_fd_) ||
-        pipe(wake_fds_) != 0) {
-        close(listen_fd_);
-        listen_fd_ = -1;
-        unlink(config_.socket_path.c_str());
-        return false;
+        pipe(wake_fds_) != 0 ||
+        std::rename(tmp_path.c_str(), config_.socket_path.c_str()) != 0) {
+        return fail();
     }
     set_nonblocking(wake_fds_[0]);
 
@@ -287,17 +288,12 @@ Server::loop()
 
         // Block only when idle: with work queued, poll() is a
         // zero-timeout drain of whatever arrived during the last batch
-        // — that accumulation IS the adaptive batch. With a flight
-        // recorder attached the idle block is capped at its sampling
-        // period, so the ring keeps recording through traffic pauses.
+        // — that accumulation IS the adaptive batch. With a monitor
+        // attached the idle block is capped at its sampling period, so
+        // the rings (and the SLO recovery path) keep moving through
+        // traffic pauses.
         int timeout_ms = pending_.empty() ? -1 : 0;
-        if (recorder_ && timeout_ms < 0) {
-            timeout_ms = static_cast<int>(std::clamp<uint64_t>(
-                recorder_->config().sample_period_ns / 1'000'000, 1, 1000));
-        }
         if (monitor_ && timeout_ms < 0) {
-            // Same idle-wakeup cap for the sampler: the rings (and the
-            // SLO recovery path) keep moving through traffic pauses.
             timeout_ms = static_cast<int>(std::clamp<uint64_t>(
                 monitor_->sampler().config().sample_period_ns / 1'000'000, 1,
                 1000));
@@ -328,9 +324,7 @@ Server::loop()
         }
         for (int fd : unsent) flush(fd);
         queue_depth_.set(static_cast<double>(pending_.size()));
-        const uint64_t tick_ns = obs::now_ns();
-        if (recorder_) recorder_->tick(tick_ns);
-        if (monitor_) monitor_->tick(tick_ns);
+        if (monitor_) monitor_->tick(obs::now_ns());
     }
 }
 
@@ -414,32 +408,26 @@ Server::read_client(int fd)
             }
             continue;
         }
-        if (frame->type != MsgType::kRequest &&
-            frame->type != MsgType::kRequestV2) {
-            malformed = true;
-            break;
-        }
         auto request = decode_request(frame->type, frame->payload,
                                       frame->size);
         if (!request) {
             malformed = true;
             break;
         }
-        const bool v2 = frame->type == MsgType::kRequestV2;
         requests_.add(1);
         if (pending_.size() >= config_.max_pending) {
             rejected_.add(1);
             if (!respond(fd, generation, request->request_id,
                          {core::Verdict::kRejected, 0,
                           obs::AbortReason::kBackpressure},
-                         v2, {})) {
+                         {})) {
                 return; // connection closed (outbound cap); conn dangles
             }
             continue;
         }
         pending_.push_back({fd, generation, request->request_id, now,
                             request->deadline_ns, request->trace_id,
-                            request->parent_span_id, v2,
+                            request->parent_span_id,
                             std::move(request->offload)});
     }
     if (malformed) {
@@ -506,8 +494,10 @@ Server::handle_dump(int fd)
     if (recorder_ == nullptr) {
         json = "{\"ok\": false, \"error\": \"recorder disabled\"}";
     } else {
-        // Runs on the service thread — the sole server-side span
+        // Refresh the rings first so the incident's look-back ends at
+        // "now". Runs on the service thread — the sole server-side span
         // writer, so a trace-including dump is race-free here.
+        monitor_->tick(obs::now_ns());
         const std::string path = recorder_->dump("manual");
         if (path.empty()) {
             json = "{\"ok\": false, \"error\": \"dump failed\"}";
@@ -591,7 +581,7 @@ Server::close_client(int fd)
 
 bool
 Server::respond(int fd, uint64_t generation, uint64_t request_id,
-                const core::ValidationResult& result, bool v2,
+                const core::ValidationResult& result,
                 const StageTimestamps& stages)
 {
     auto it = connections_.find(fd);
@@ -599,7 +589,7 @@ Server::respond(int fd, uint64_t generation, uint64_t request_id,
         return false; // client gone (or fd recycled); answer dropped
     }
     Connection& conn = it->second;
-    encode_response(conn.out, {request_id, result, stages, v2}, v2);
+    encode_response(conn.out, {request_id, result, stages});
     if (conn.out.size() - conn.out_off > config_.max_out_bytes) {
         // The peer keeps submitting but is not reading its responses;
         // disconnecting it is the only alternative to unbounded
@@ -679,7 +669,7 @@ Server::process_batch()
 #endif
         }
         respond(pending.fd, pending.generation, pending.request_id, result,
-                pending.v2, stages);
+                stages);
         rpc_ns_.record(pass_start - pending.arrival_ns);
     }
     if (engine_passes > 0) {

@@ -53,16 +53,16 @@
 /// hot-key table, svc.topk) and kDump (manual flight-recorder incident,
 /// svc.dump) follow the same inline contract. Per-stage latency is
 /// attributed into svc.stage.{server_queue,batch_wait,engine,link}
-/// histograms and shipped back to v2 clients in every response
-/// (wire.h StageTimestamps); when a v2 request carries a trace id and
+/// histograms and shipped back to the client in every response
+/// (wire.h StageTimestamps); when a request carries a trace id and
 /// a tracer is active, the engine pass emits a server-side span plus a
 /// Perfetto flow-end event binding it to the client's span.
 ///
 /// Threading: start() spawns one thread running a poll() loop that
 /// does accept/read/decode, the inline introspection ops, the engine
 /// batch (process_batch() calls the router inline), response writes,
-/// all svc.* accounting, and the recorder/monitor ticks — one drainer
-/// taking requests in arrival order, as in Fig. 6 (b). The public API
+/// all svc.* accounting, the monitor tick and incident dumps — one
+/// drainer taking requests in arrival order, as in Fig. 6 (b). The public API
 /// (start/stop/stats/export_metrics) is thread-safe.
 #pragma once
 
@@ -85,8 +85,8 @@ namespace rococo::svc {
 
 struct ServerConfig
 {
-    /// Filesystem path of the Unix-domain listening socket (unlinked
-    /// and re-bound on start).
+    /// Filesystem path of the Unix-domain listening socket (replaced
+    /// on start).
     std::string socket_path = "/tmp/rococo-validation.sock";
     /// Engine geometry; clients must be configured identically so their
     /// locally derived SignatureConfig agrees with the server's.
@@ -109,11 +109,12 @@ struct ServerConfig
     /// frame; 0 selects the default).
     size_t max_out_bytes = 1 << 20;
     /// Flight recorder (obs/flight_recorder.h). recorder.enabled = true
-    /// turns it on; empty watch lists default to the service series
-    /// (svc.verdict.abort-cycle / svc.requests / svc.rpc_ns /
-    /// svc.queue_depth / shard.imbalance). The recorder ticks on the
-    /// service thread, which is also the sole server-side span writer,
-    /// so recorder.include_trace is safe here.
+    /// turns it on, and with it the monitor below even when
+    /// monitor.enabled is false: incidents embed the monitor's rings,
+    /// and its critical SLO transitions are the recorder's automatic
+    /// trigger ("slo:<rule>"; kDump adds manual ones). Dumps run on
+    /// the service thread, which is also the sole server-side span
+    /// writer, so recorder.include_trace is safe here.
     obs::FlightRecorderConfig recorder;
     /// Continuous monitoring (obs/health.h): a MetricSampler over the
     /// service series (request rate, abort ratio, engine p99, queue
@@ -122,7 +123,7 @@ struct ServerConfig
     /// the kSeries wire op. On by default — turning the *service* on is
     /// the opt-in. A queue_threshold of 0 defaults to 90% of
     /// max_pending; SLO breaches dump incidents only when the flight
-    /// recorder is armed too.
+    /// recorder is armed too (which also forces the monitor on).
     obs::MonitorConfig monitor;
 };
 
@@ -136,8 +137,10 @@ class Server
     Server(const Server&) = delete;
     Server& operator=(const Server&) = delete;
 
-    /// Bind, listen and spawn the service thread. False (with the
-    /// socket cleaned up) if the path cannot be bound.
+    /// Bind, listen and spawn the service thread. The socket is bound
+    /// under a temporary name and renamed onto socket_path after
+    /// listen(), so the path appears only once connect() can succeed.
+    /// False (with the socket cleaned up) if the path cannot be bound.
     bool start();
 
     /// Stop the service thread, close every connection and answer all
@@ -174,7 +177,6 @@ class Server
         uint64_t deadline_ns = 0; ///< relative to arrival; 0 = none
         uint64_t trace_id = 0;       ///< flow-event binding id (0 = none)
         uint64_t parent_span_id = 0; ///< client span this request came from
-        bool v2 = false; ///< reply version mirrors the request version
         fpga::OffloadRequest offload;
     };
 
@@ -203,20 +205,19 @@ class Server
     /// generation matches. False if the answer was dropped (connection
     /// gone or fd recycled) or the connection was closed for exceeding
     /// the outbound cap — either way @p fd must not be touched again.
-    /// @p stages rides along in a v2 response when @p v2.
     bool respond(int fd, uint64_t generation, uint64_t request_id,
-                 const core::ValidationResult& result, bool v2,
+                 const core::ValidationResult& result,
                  const StageTimestamps& stages);
     void process_batch();
     void flush(int fd);
 
     ServerConfig config_;
     shard::ShardRouter router_;
-    /// Present iff config_.recorder.enabled; ticked from the service
-    /// loop, dumped from kDump handling (both on the service thread).
+    /// Present iff config_.recorder.enabled; dumped from kDump handling
+    /// and from the monitor's SLO hook (both on the service thread).
     std::unique_ptr<obs::FlightRecorder> recorder_;
-    /// Present iff config_.monitor.enabled; ticked from the service
-    /// loop right after the recorder. Its gauge/callback series read
+    /// Present iff config_.monitor.enabled or config_.recorder.enabled;
+    /// ticked from the service loop. Its gauge/callback series read
     /// service-thread state (pending_, connections_, the router), which
     /// is safe because every tick happens on the service thread.
     std::unique_ptr<obs::HealthMonitor> monitor_;

@@ -112,39 +112,19 @@ encode_request(std::vector<uint8_t>& out, const WireRequest& request)
 }
 
 void
-encode_request_v1(std::vector<uint8_t>& out, const WireRequest& request)
+encode_response(std::vector<uint8_t>& out, const WireResponse& response)
 {
-    out.reserve(out.size() + kFrameHeaderBytes + 3 * 8 + 8 +
-                (request.offload.reads.size() +
-                 request.offload.writes.size()) *
-                    8);
-    const size_t at = begin_frame(out, MsgType::kRequest);
-    put_u64(out, request.request_id);
-    put_u64(out, request.offload.snapshot_cid);
-    put_u64(out, request.deadline_ns);
-    put_address_sets(out, request.offload);
-    end_frame(out, at);
-}
-
-void
-encode_response(std::vector<uint8_t>& out, const WireResponse& response,
-                bool v2)
-{
-    out.reserve(out.size() + kFrameHeaderBytes + 8 + 2 + 8 +
-                (v2 ? 5 * 8 : 0));
-    const size_t at = begin_frame(
-        out, v2 ? MsgType::kResponseV2 : MsgType::kResponse);
+    out.reserve(out.size() + kResponseFrameBytes);
+    const size_t at = begin_frame(out, MsgType::kResponseV2);
     put_u64(out, response.request_id);
     put_u8(out, static_cast<uint8_t>(response.result.verdict));
     put_u8(out, static_cast<uint8_t>(response.result.reason));
     put_u64(out, response.result.cid);
-    if (v2) {
-        put_u64(out, response.stages.server_queue_ns);
-        put_u64(out, response.stages.batch_wait_ns);
-        put_u64(out, response.stages.engine_ns);
-        put_u64(out, response.stages.link_ns);
-        put_u64(out, response.result.conflict_cid);
-    }
+    put_u64(out, response.stages.server_queue_ns);
+    put_u64(out, response.stages.batch_wait_ns);
+    put_u64(out, response.stages.engine_ns);
+    put_u64(out, response.stages.link_ns);
+    put_u64(out, response.result.conflict_cid);
     end_frame(out, at);
 }
 
@@ -226,18 +206,15 @@ encode_prom_reply(std::vector<uint8_t>& out, std::string_view text)
 std::optional<WireRequest>
 decode_request(MsgType type, const uint8_t* payload, size_t size)
 {
-    const bool v2 = type == MsgType::kRequestV2;
-    if (!v2 && type != MsgType::kRequest) return std::nullopt;
-    const size_t fixed = v2 ? 8 + 8 + 8 + 8 + 8 : 8 + 8 + 8;
+    if (type != MsgType::kRequestV2) return std::nullopt;
+    constexpr size_t fixed = 8 + 8 + 8 + 8 + 8;
     if (size < fixed + 8) return std::nullopt;
     WireRequest request;
     request.request_id = get_u64(payload);
     request.offload.snapshot_cid = get_u64(payload + 8);
     request.deadline_ns = get_u64(payload + 16);
-    if (v2) {
-        request.trace_id = get_u64(payload + 24);
-        request.parent_span_id = get_u64(payload + 32);
-    }
+    request.trace_id = get_u64(payload + 24);
+    request.parent_span_id = get_u64(payload + 32);
     if (!get_address_sets(payload + fixed, size - fixed, request.offload)) {
         return std::nullopt;
     }
@@ -247,10 +224,10 @@ decode_request(MsgType type, const uint8_t* payload, size_t size)
 std::optional<WireResponse>
 decode_response(MsgType type, const uint8_t* payload, size_t size)
 {
-    const bool v2 = type == MsgType::kResponseV2;
-    if (!v2 && type != MsgType::kResponse) return std::nullopt;
-    constexpr size_t kV1Fixed = 8 + 1 + 1 + 8;
-    if (size != (v2 ? kV1Fixed + 5 * 8 : kV1Fixed)) return std::nullopt;
+    if (type != MsgType::kResponseV2 ||
+        size != kResponseFrameBytes - kFrameHeaderBytes) {
+        return std::nullopt;
+    }
     WireResponse response;
     response.request_id = get_u64(payload);
     const uint8_t verdict = payload[8];
@@ -262,14 +239,11 @@ decode_response(MsgType type, const uint8_t* payload, size_t size)
     response.result.verdict = static_cast<core::Verdict>(verdict);
     response.result.reason = static_cast<obs::AbortReason>(reason);
     response.result.cid = get_u64(payload + 10);
-    if (v2) {
-        response.stages.server_queue_ns = get_u64(payload + 18);
-        response.stages.batch_wait_ns = get_u64(payload + 26);
-        response.stages.engine_ns = get_u64(payload + 34);
-        response.stages.link_ns = get_u64(payload + 42);
-        response.result.conflict_cid = get_u64(payload + 50);
-        response.has_stages = true;
-    }
+    response.stages.server_queue_ns = get_u64(payload + 18);
+    response.stages.batch_wait_ns = get_u64(payload + 26);
+    response.stages.engine_ns = get_u64(payload + 34);
+    response.stages.link_ns = get_u64(payload + 42);
+    response.result.conflict_cid = get_u64(payload + 50);
     return response;
 }
 
@@ -296,7 +270,7 @@ FrameReader::next(bool* malformed)
                          uint32_t(head[2]) << 16 | uint32_t(head[3]) << 24;
     const uint8_t type = head[4];
     if (len > kMaxPayloadBytes ||
-        type < static_cast<uint8_t>(MsgType::kRequest) ||
+        type < static_cast<uint8_t>(MsgType::kRequestV2) ||
         type > static_cast<uint8_t>(MsgType::kPromReply)) {
         if (malformed != nullptr) *malformed = true;
         return std::nullopt;

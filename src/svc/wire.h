@@ -11,15 +11,12 @@
 /// Layout (all integers little-endian, no padding):
 ///
 ///   frame      := u32 payload_len | u8 type | payload
-///   request    := u64 request_id | u64 snapshot_cid | u64 deadline_ns
-///                 | u32 n_reads | u32 n_writes
-///                 | u64 reads[n_reads] | u64 writes[n_writes]
 ///   request2   := u64 request_id | u64 snapshot_cid | u64 deadline_ns
 ///                 | u64 trace_id | u64 parent_span_id
 ///                 | u32 n_reads | u32 n_writes
 ///                 | u64 reads[n_reads] | u64 writes[n_writes]
-///   response   := u64 request_id | u8 verdict | u8 reason | u64 cid
-///   response2  := response | u64 server_queue_ns | u64 batch_wait_ns
+///   response2  := u64 request_id | u8 verdict | u8 reason | u64 cid
+///                 | u64 server_queue_ns | u64 batch_wait_ns
 ///                 | u64 engine_ns | u64 link_ns | u64 conflict_cid
 ///   stats      := (empty)
 ///   statsreply := raw JSON bytes (a Registry snapshot)
@@ -34,22 +31,21 @@
 ///   prom       := (empty)
 ///   promreply  := raw text bytes (Prometheus exposition format)
 ///
-/// Versioning: v1 frames (kRequest/kResponse) remain fully supported —
-/// a pre-trace-context client keeps working against a v2 server, which
-/// mirrors the request's version in its response so old decoders never
-/// see a frame type they don't know. The introspection ops (kStats
-/// through kPromReply) are strictly opt-in request/reply pairs: a
-/// server only ever sends a reply type the peer just asked for, so a
-/// pre-series client never sees a kSeriesReply; a pre-series *server*
-/// treats an incoming kSeries as an unknown type and closes the
-/// connection cleanly (the standard malformed-frame path), which the
-/// tooling reports as "not supported" rather than wedging. v2 adds the trace context
-/// (trace_id/parent_span_id, 0 = none) used to flow-link client and
-/// server spans across the process boundary, the per-stage server-side
-/// timing breakdown (StageTimestamps) in the response, and the abort
+/// Versioning: only the v2 request/response pair exists. Every peer is
+/// built from this repository, so the v1 frames (type bytes 1 and 2)
+/// were dropped; they now take the unknown-type path — malformed, the
+/// connection closes. v2 carries the trace context (trace_id/
+/// parent_span_id, 0 = none) used to flow-link client and server spans
+/// across the process boundary, the per-stage server-side timing
+/// breakdown (StageTimestamps) in the response, and the abort
 /// provenance field (conflict_cid — the committed transaction a
 /// kAbortCycle verdict collided with; core::kNoConflictCid when the
-/// abort names no commit or the frame is v1).
+/// abort names no commit). The introspection ops (kStats through
+/// kPromReply) are strictly opt-in request/reply pairs: a server only
+/// ever sends a reply type the peer just asked for; a server that
+/// predates an op treats it as an unknown type and closes the
+/// connection cleanly (the standard malformed-frame path), which the
+/// tooling reports as "not supported" rather than wedging.
 ///
 /// deadline_ns is *relative* to server arrival (0 = none): processes on
 /// the same host share the monotonic clock, but a relative deadline
@@ -79,11 +75,10 @@
 
 namespace rococo::svc {
 
-/// Frame type tags.
+/// Frame type tags. 1 and 2 (the retired v1 request/response) are
+/// unknown types, like anything above kPromReply.
 enum class MsgType : uint8_t
 {
-    kRequest = 1,    ///< v1 request (no trace context)
-    kResponse = 2,   ///< v1 response (no stage breakdown)
     kRequestV2 = 3,  ///< request + trace context
     kResponseV2 = 4, ///< response + StageTimestamps
     kStats = 5,      ///< metrics-snapshot request (empty payload)
@@ -106,12 +101,12 @@ inline constexpr size_t kFrameHeaderBytes = 5; // u32 len + u8 type
 inline constexpr uint32_t kMaxAddresses = 1u << 20;
 
 /// Largest payload a well-formed frame can carry (two maximal address
-/// sets plus the fixed v2 request fields).
+/// sets plus the fixed request fields).
 inline constexpr size_t kMaxPayloadBytes =
     8 + 8 + 8 + 8 + 8 + 4 + 4 + 2 * size_t{kMaxAddresses} * 8;
 
 /// Where each nanosecond of a remote validation went, measured by the
-/// server and shipped back in a v2 response. All four are durations
+/// server and shipped back in every response. All four are durations
 /// (never timestamps — see the clock-domain note above):
 ///
 ///   server_queue — socket read → start of the engine pass that took it
@@ -128,7 +123,7 @@ struct StageTimestamps
     uint64_t link_ns = 0;
 };
 
-/// Encoded size of one v2 response frame (fixed-size payload + header)
+/// Encoded size of one response frame (fixed-size payload + header)
 /// — the unit the server's outbound-buffer cap is expressed in.
 inline constexpr size_t kResponseFrameBytes =
     kFrameHeaderBytes + 8 + 1 + 1 + 8 + 5 * 8;
@@ -141,7 +136,7 @@ struct WireRequest
     /// with Verdict::kTimeout if it is still queued this long after
     /// arrival.
     uint64_t deadline_ns = 0;
-    /// Trace context (v2 only, 0 = none): the id binding the client's
+    /// Trace context (0 = none): the id binding the client's
     /// flow-start event to the server's flow-end event in a merged
     /// trace, and the client-side span the server span points back to.
     uint64_t trace_id = 0;
@@ -154,22 +149,15 @@ struct WireResponse
 {
     uint64_t request_id = 0;
     core::ValidationResult result;
-    /// Valid only when has_stages (i.e. the frame was a kResponseV2).
     StageTimestamps stages;
-    bool has_stages = false;
 };
 
-/// Append one encoded v2 request frame to @p out.
+/// Append one encoded kRequestV2 frame to @p out.
 void encode_request(std::vector<uint8_t>& out, const WireRequest& request);
 
-/// Append one encoded v1 request frame to @p out (drops trace context).
-void encode_request_v1(std::vector<uint8_t>& out, const WireRequest& request);
-
-/// Append one encoded response frame to @p out: a kResponseV2 carrying
-/// response.stages when @p v2, else a kResponse (stages dropped) so a
-/// v1 client's decoder never sees an unknown frame type.
-void encode_response(std::vector<uint8_t>& out, const WireResponse& response,
-                     bool v2 = true);
+/// Append one encoded kResponseV2 frame to @p out.
+void encode_response(std::vector<uint8_t>& out,
+                     const WireResponse& response);
 
 /// Append one encoded kStats frame (empty payload) to @p out.
 void encode_stats_request(std::vector<uint8_t>& out);
@@ -201,13 +189,14 @@ void encode_prom_request(std::vector<uint8_t>& out);
 /// Append one encoded kPromReply frame carrying @p text to @p out.
 void encode_prom_reply(std::vector<uint8_t>& out, std::string_view text);
 
-/// Decode a request payload (the bytes after the frame header).
-/// @p type selects the v1 or v2 layout; other types yield nullopt.
+/// Decode a request payload (the bytes after the frame header). Types
+/// other than kRequestV2 yield nullopt.
 std::optional<WireRequest> decode_request(MsgType type,
                                           const uint8_t* payload,
                                           size_t size);
 
-/// Decode a response payload; @p type selects the v1 or v2 layout.
+/// Decode a response payload. Types other than kResponseV2 yield
+/// nullopt.
 std::optional<WireResponse> decode_response(MsgType type,
                                             const uint8_t* payload,
                                             size_t size);

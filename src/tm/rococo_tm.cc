@@ -180,90 +180,6 @@ RococoTm::RococoTm(const RococoTmConfig& config)
       update_set_(sig_config_, config.max_threads),
       descriptors_(config.max_threads)
 {
-    if (config_.recorder.enabled) {
-        obs::FlightRecorderConfig rec = config_.recorder;
-        if (rec.abort_counters.empty()) rec.abort_counters = {stat::kAborts};
-        if (rec.total_counters.empty()) {
-            rec.total_counters = {stat::kCommits, stat::kAborts};
-        }
-        // Every worker thread writes spans here — a trace-including
-        // dump would race the rings (see obs/flight_recorder.h).
-        rec.include_trace = false;
-        recorder_ = std::make_unique<obs::FlightRecorder>(
-            std::move(rec), [this](obs::Registry& out) {
-                out.merge(registry_);
-                {
-                    // Live view: fold in the per-thread registries that
-                    // have not reached thread_fini yet (their counters
-                    // are atomic; merge reads them concurrently).
-                    std::lock_guard<std::mutex> lock(descriptor_mutex_);
-                    for (const auto& d : descriptors_) {
-                        if (d) out.merge(d->stats);
-                    }
-                }
-                backend_->export_metrics(out);
-            });
-        if (auto* pipeline =
-                dynamic_cast<fpga::ValidationPipeline*>(backend_.get())) {
-            pipeline->attach_flight_recorder(recorder_.get());
-            recorder_->set_topk_source([pipeline](std::string* out) {
-                pipeline->topk_json(out);
-            });
-        } else if (auto* router =
-                       dynamic_cast<shard::ShardRouter*>(backend_.get())) {
-            recorder_->set_topk_source(
-                [router](std::string* out) { router->topk_json(out); });
-        }
-    }
-    if (config_.monitor.enabled) {
-        // Live cumulative sum of one per-thread counter: the merged
-        // registry (threads past thread_fini) plus the descriptors
-        // still running. Registry::get is a mutex-guarded map lookup —
-        // fine at sampling cadence, never on the transaction path.
-        auto live_sum = [this](const char* name) {
-            double total = double(registry_.get(name));
-            std::lock_guard<std::mutex> lock(descriptor_mutex_);
-            for (const auto& d : descriptors_) {
-                if (d) total += double(d->stats.get(name));
-            }
-            return total;
-        };
-        const obs::MonitorConfig& mon = config_.monitor;
-        obs::MetricSamplerConfig sampler;
-        sampler.sample_period_ns = mon.sample_period_ns;
-        sampler.ring_capacity = mon.ring_capacity;
-        obs::SeriesSpec commit_rate;
-        commit_rate.name = "tm.commit_rate";
-        commit_rate.kind = obs::SeriesKind::kCounter;
-        commit_rate.callback = [live_sum] { return live_sum(stat::kCommits); };
-        sampler.series.push_back(std::move(commit_rate));
-        obs::SeriesSpec abort_rate;
-        abort_rate.name = "tm.abort_rate";
-        abort_rate.kind = obs::SeriesKind::kRatio;
-        abort_rate.callback = [live_sum] { return live_sum(stat::kAborts); };
-        abort_rate.weight_callback = [live_sum] {
-            return live_sum(stat::kCommits) + live_sum(stat::kAborts);
-        };
-        sampler.series.push_back(std::move(abort_rate));
-
-        obs::SloEngineConfig slo;
-        if (mon.abort_rate_threshold > 0) {
-            obs::SloRule rule;
-            rule.name = "abort-rate";
-            rule.series = "tm.abort_rate";
-            rule.threshold = mon.abort_rate_threshold;
-            rule.fast_window_ns = mon.fast_window_ns;
-            rule.slow_window_ns = mon.slow_window_ns;
-            rule.recovery_samples = mon.recovery_samples;
-            // An idle runtime must not alarm: require a handful of
-            // attempts per fast window before the ratio means anything.
-            rule.min_weight = 16.0;
-            slo.rules.push_back(std::move(rule));
-        }
-        monitor_ = std::make_unique<obs::HealthMonitor>(std::move(sampler),
-                                                        std::move(slo));
-        if (recorder_) monitor_->set_incident_recorder(recorder_.get());
-    }
 }
 
 RococoTm::~RococoTm()
@@ -346,14 +262,6 @@ RococoTm::try_execute(const std::function<void(Tx&)>& body)
 bool
 RococoTm::attempt(const std::function<void(Tx&)>& body, TxDescriptor& d)
 {
-    // One recorder + monitor tick per attempt: cheap when no sample is
-    // due, and try_lock inside keeps concurrent workers from
-    // contending.
-    if (recorder_ || monitor_) {
-        const uint64_t tick_ns = obs::now_ns();
-        if (recorder_) recorder_->tick(tick_ns);
-        if (monitor_) monitor_->tick(tick_ns);
-    }
     d.reset(commit_log_.global_ts());
     TxImpl tx(*this, d);
 

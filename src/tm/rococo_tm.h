@@ -28,8 +28,6 @@
 
 #include "fpga/validation_backend.h"
 #include "fpga/validation_pipeline.h"
-#include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "tm/commit_log.h"
 #include "tm/tm.h"
 #include "tm/tx_descriptor.h"
@@ -72,22 +70,6 @@ struct RococoTmConfig
     /// is safe precisely because the attempt aborts (never
     /// half-commits).
     uint64_t validation_timeout_ns = 0;
-    /// Flight recorder (obs/flight_recorder.h). recorder.enabled = true
-    /// makes the runtime own one, ticked once per finished attempt;
-    /// empty watch lists default to the TM series (aborts / commits +
-    /// aborts). recorder.include_trace stays unsafe here — every worker
-    /// thread writes spans, so leave it false (the runtime forces it
-    /// off).
-    obs::FlightRecorderConfig recorder;
-    /// Continuous monitoring (obs/health.h). Opt-in here (the default
-    /// below overrides MonitorConfig's service-side default of on),
-    /// like the recorder: an embedding application owns the choice.
-    /// When enabled, the sampler tracks tm.commit_rate (commits/s) and
-    /// tm.abort_rate (aborts per attempt, live across the per-thread
-    /// descriptor registries) off the same per-attempt tick the
-    /// recorder uses, and a critical abort-rate SLO dumps an incident
-    /// through the recorder when both are armed.
-    obs::MonitorConfig monitor{.enabled = false};
 };
 
 class RococoTm final : public TmRuntime
@@ -110,15 +92,6 @@ class RococoTm final : public TmRuntime
     /// recent abort collided with, or core::kNoConflictCid. Meaningful
     /// under the same contract as last_abort_reason().
     uint64_t last_conflict_cid() const;
-
-    /// The runtime's flight recorder, or nullptr when
-    /// RococoTmConfig::recorder.enabled is false (manual dumps, tests).
-    obs::FlightRecorder* flight_recorder() { return recorder_.get(); }
-
-    /// The runtime's health monitor, or nullptr when
-    /// RococoTmConfig::monitor.enabled is false (series inspection,
-    /// tests).
-    obs::HealthMonitor* health_monitor() { return monitor_.get(); }
 
     /// Validation-backend verdict counters (the dotted line of
     /// Fig. 10); pipeline- or client-side depending on config.
@@ -152,20 +125,9 @@ class RococoTm final : public TmRuntime
     std::shared_mutex gate_;
 
     obs::Registry registry_; ///< merged per-thread metrics (thread-safe)
-    /// Guards descriptor creation vs. the recorder's collector, which
-    /// walks descriptors_ mid-run to fold in live per-thread counters.
-    mutable std::mutex descriptor_mutex_;
+    /// Guards descriptor creation (thread_init from several threads).
+    std::mutex descriptor_mutex_;
     std::vector<std::unique_ptr<TxDescriptor>> descriptors_;
-
-    /// Present iff config_.recorder.enabled; ticked per attempt by
-    /// whichever worker finishes one (try_lock inside keeps them from
-    /// contending).
-    std::unique_ptr<obs::FlightRecorder> recorder_;
-    /// Present iff config_.monitor.enabled; ticked per attempt next to
-    /// the recorder. Its series callbacks sum the merged registry plus
-    /// the live per-thread descriptor registries (under
-    /// descriptor_mutex_, like the recorder's collector).
-    std::unique_ptr<obs::HealthMonitor> monitor_;
 };
 
 } // namespace rococo::tm

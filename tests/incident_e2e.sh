@@ -1,7 +1,8 @@
 #!/bin/sh
 # Conflict-forensics end-to-end: a loadgen-hosted server with the
 # flight recorder armed, pumping a planted hot-key workload whose
-# near-total abort rate must fire the abort-rate trigger.
+# near-total abort rate must drive the abort-rate SLO to critical and
+# so dump an incident.
 #
 #   $1 = path to svc_loadgen   $2 = path to svcctl
 #   $3 = incident file prefix (files written as "$3-<seq>.json")
@@ -13,8 +14,8 @@
 # the abort-rate burn-rate SLO must walk the storm to critical —
 # observable as `svcctl monitor --once` turning its exit status
 # non-zero. The loadgen's own exit status then proves two more things:
-# the accounting ledger balanced AND the threshold trigger actually
-# fired (it fails when "<prefix>-1.json" never appeared).
+# the accounting ledger balanced AND the SLO actually dumped (it fails
+# when no "<prefix>-*.json" carries an "slo:" trigger).
 set -u
 
 LOADGEN="$1"
@@ -28,7 +29,7 @@ rm -f "$PREFIX"-*.json
 # The SLO windows are shrunk (200 ms fast / 1 s slow) so the burn-rate
 # ladder walks ok -> warn -> critical within the sweep, not in minutes.
 "$LOADGEN" --clients=2 --batch=8 --requests=400000 --hot-keys=8 \
-    --socket="$SOCK" --recorder-out="$PREFIX" --abort-rate-trigger=0.5 \
+    --socket="$SOCK" --recorder-out="$PREFIX" \
     --slo-abort-rate=0.5 --slo-fast-ms=200 --slo-slow-ms=1000 \
     > /dev/null 2>&1 &
 LOADGEN_PID=$!
@@ -82,32 +83,26 @@ echo "$DUMP_REPLY" | grep -q '"ok": true' || {
     exit 1
 }
 
-# Sweep end: accounting balanced and the abort-rate trigger fired.
+# Sweep end: accounting balanced and the SLO incident was dumped.
 wait "$LOADGEN_PID"
 status=$?
 trap - EXIT
 rm -f "$SOCK"
 if [ "$status" -ne 0 ]; then
-    echo "incident_e2e: loadgen failed (accounting or missing trigger dump)" >&2
+    echo "incident_e2e: loadgen failed (accounting or missing slo: dump)" >&2
     exit 1
 fi
 
-# Both provenances must exist on disk: the threshold-triggered dump and
-# the manual one.
-TRIGGERED=$(grep -l '"trigger": "abort-rate"' "$PREFIX"-*.json | head -n 1)
-if [ -z "$TRIGGERED" ]; then
-    echo "incident_e2e: no abort-rate-triggered incident file" >&2
-    exit 1
-fi
+# Both provenances must exist on disk: the manual dump and the SLO's.
 MANUAL=$(grep -l '"trigger": "manual"' "$PREFIX"-*.json | head -n 1)
 if [ -z "$MANUAL" ]; then
     echo "incident_e2e: no manual incident file" >&2
     exit 1
 fi
 
-# Third provenance: the burn-rate SLO's own critical transition dumps
-# an incident that embeds the health verdicts and the breaching series
-# rings — the storm's full story in one file.
+# The burn-rate SLO's critical transition dumps an incident that embeds
+# the health verdicts and the breaching series rings — the storm's full
+# story in one file.
 SLO=$(grep -l '"trigger": "slo:abort-rate"' "$PREFIX"-*.json | head -n 1)
 if [ -z "$SLO" ]; then
     echo "incident_e2e: no slo:abort-rate incident file" >&2
@@ -126,7 +121,8 @@ grep -q '"to": "critical"' "$SLO" || {
     exit 1
 }
 
-# Schema-validate every incident the run produced.
+# Schema-validate every incident the run produced, manual included:
+# each must carry a monitor look-back (check_trace_json.py --incident).
 if [ "$#" -gt 0 ]; then
     for file in "$PREFIX"-*.json; do
         "$@" "$file" --incident || {
@@ -135,4 +131,4 @@ if [ "$#" -gt 0 ]; then
         }
     done
 fi
-echo "incident_e2e: OK ($TRIGGERED, $MANUAL, $SLO)"
+echo "incident_e2e: OK ($MANUAL, $SLO)"

@@ -549,18 +549,6 @@ read_file(const std::string& path)
     return content.str();
 }
 
-/// Count occurrences of @p needle in @p text.
-size_t
-count_of(const std::string& text, const std::string& needle)
-{
-    size_t n = 0;
-    for (size_t at = text.find(needle); at != std::string::npos;
-         at = text.find(needle, at + 1)) {
-        ++n;
-    }
-    return n;
-}
-
 TEST(FlightRecorder, ManualDumpWritesNumberedIncidentFiles)
 {
     const std::string prefix = testing::TempDir() + "fr_manual";
@@ -568,7 +556,6 @@ TEST(FlightRecorder, ManualDumpWritesNumberedIncidentFiles)
     source.bump("aborts", 3);
     FlightRecorderConfig config;
     config.output_prefix = prefix;
-    config.abort_counters = {"aborts"};
     FlightRecorder recorder(config,
                             [&](Registry& out) { out.merge(source); });
 
@@ -589,120 +576,6 @@ TEST(FlightRecorder, ManualDumpWritesNumberedIncidentFiles)
     EXPECT_NE(text.find("\"traceEvents\": []"), std::string::npos);
     std::remove(first.c_str());
     std::remove(second.c_str());
-}
-
-TEST(FlightRecorder, TickSamplesOnlyWhenDue)
-{
-    FlightRecorderConfig config;
-    config.sample_period_ns = 1000;
-    FlightRecorder recorder(config, {});
-    recorder.tick(500);
-    EXPECT_EQ(recorder.samples_taken(), 0u);
-    recorder.tick(1000);
-    EXPECT_EQ(recorder.samples_taken(), 1u);
-    recorder.tick(1500); // only 500 ns since the last sample
-    EXPECT_EQ(recorder.samples_taken(), 1u);
-    recorder.tick(2100);
-    EXPECT_EQ(recorder.samples_taken(), 2u);
-}
-
-TEST(FlightRecorder, AbortRateTriggerFiresOnDeltaAndCooldownHolds)
-{
-    const std::string prefix = testing::TempDir() + "fr_rate";
-    Registry source;
-    FlightRecorderConfig config;
-    config.output_prefix = prefix;
-    config.sample_period_ns = 1000;
-    config.abort_counters = {"aborts"};
-    config.total_counters = {"total"};
-    config.abort_rate_threshold = 0.5;
-    config.min_delta_total = 16;
-    config.cooldown_ns = ~uint64_t{0} >> 1;
-    FlightRecorder recorder(config,
-                            [&](Registry& out) { out.merge(source); });
-
-    recorder.tick(1000); // baseline sample: no previous, rate 0
-    EXPECT_EQ(recorder.dumps(), 0u);
-
-    // A genuine spike: 90 aborts out of 100 new requests.
-    source.bump("total", 100);
-    source.bump("aborts", 90);
-    recorder.tick(2000);
-    EXPECT_EQ(recorder.dumps(), 1u);
-    const std::string path = recorder.last_dump_path();
-    EXPECT_EQ(path, prefix + "-1.json");
-    const std::string text = read_file(path);
-    EXPECT_TRUE(json_well_formed(text)) << text;
-    EXPECT_NE(text.find("\"trigger\": \"abort-rate\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"abort_rate\": 0.9"), std::string::npos);
-
-    // Same spike again: the cooldown keeps the recorder from spamming
-    // incident files while the system is still on fire.
-    source.bump("total", 100);
-    source.bump("aborts", 90);
-    recorder.tick(3000);
-    EXPECT_EQ(recorder.dumps(), 1u);
-
-    // A delta below min_delta_total must never fire: one abort in two
-    // requests is 50% but not a spike.
-    std::remove(path.c_str());
-}
-
-TEST(FlightRecorder, MinDeltaTotalGuardsAgainstIdleBlips)
-{
-    Registry source;
-    FlightRecorderConfig config;
-    config.output_prefix = testing::TempDir() + "fr_blip";
-    config.sample_period_ns = 1000;
-    config.abort_counters = {"aborts"};
-    config.total_counters = {"total"};
-    config.abort_rate_threshold = 0.5;
-    config.min_delta_total = 16;
-    FlightRecorder recorder(config,
-                            [&](Registry& out) { out.merge(source); });
-    recorder.tick(1000);
-    source.bump("total", 2);
-    source.bump("aborts", 2); // 100% of a 2-request delta
-    recorder.tick(2000);
-    EXPECT_EQ(recorder.dumps(), 0u);
-}
-
-TEST(FlightRecorder, P99TriggerAndBoundedRing)
-{
-    const std::string prefix = testing::TempDir() + "fr_p99";
-    Registry source;
-    for (int i = 0; i < 32; ++i) {
-        source.histogram("lat").record(1'000'000);
-    }
-    FlightRecorderConfig config;
-    config.output_prefix = prefix;
-    config.sample_period_ns = 1000;
-    config.ring_capacity = 3;
-    config.watch_histogram = "lat";
-    config.p99_threshold_ns = 10'000;
-    config.cooldown_ns = ~uint64_t{0} >> 1;
-    FlightRecorder recorder(config,
-                            [&](Registry& out) { out.merge(source); });
-
-    for (uint64_t t = 1; t <= 5; ++t) recorder.tick(t * 1000);
-    EXPECT_EQ(recorder.samples_taken(), 5u);
-    // The very first sample clears the p99 threshold.
-    EXPECT_EQ(recorder.dumps(), 1u);
-    std::string text = read_file(recorder.last_dump_path());
-    EXPECT_NE(text.find("\"trigger\": \"p99\""), std::string::npos);
-    std::remove(recorder.last_dump_path().c_str());
-
-    // After 5 samples into a 3-slot ring, a dump carries exactly the
-    // newest 3, in time order.
-    const std::string manual = recorder.dump("manual");
-    text = read_file(manual);
-    EXPECT_TRUE(json_well_formed(text)) << text;
-    EXPECT_EQ(count_of(text, "{\"t_ns\""), 3u) << text;
-    EXPECT_NE(text.find("\"t_ns\": 3000"), std::string::npos);
-    EXPECT_NE(text.find("\"t_ns\": 5000"), std::string::npos);
-    EXPECT_EQ(text.find("\"t_ns\": 1000"), std::string::npos);
-    std::remove(manual.c_str());
 }
 
 TEST(FlightRecorder, TopKSourceIsEmbeddedVerbatim)

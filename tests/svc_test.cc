@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -106,42 +107,6 @@ TEST(Wire, RequestRoundTripAllFields)
     EXPECT_EQ(out->offload.writes, in.offload.writes);
 }
 
-TEST(Wire, V1RequestRoundTripDropsTraceContext)
-{
-    WireRequest in;
-    in.request_id = 77;
-    in.deadline_ns = 5000;
-    in.trace_id = 0xffff;         // not representable in v1 —
-    in.parent_span_id = 0xffff;   // must decode back as "none"
-    in.offload.snapshot_cid = 3;
-    in.offload.reads = {1, 2};
-    in.offload.writes = {9};
-
-    std::vector<uint8_t> bytes;
-    encode_request_v1(bytes, in);
-
-    FrameReader reader;
-    reader.append(bytes.data(), bytes.size());
-    auto frame = reader.next();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->type, MsgType::kRequest);
-
-    auto out = decode_request(frame->type, frame->payload, frame->size);
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(out->request_id, in.request_id);
-    EXPECT_EQ(out->deadline_ns, in.deadline_ns);
-    EXPECT_EQ(out->trace_id, 0u);
-    EXPECT_EQ(out->parent_span_id, 0u);
-    EXPECT_EQ(out->offload.reads, in.offload.reads);
-    EXPECT_EQ(out->offload.writes, in.offload.writes);
-
-    // A v1 payload decoded as v2 (or vice versa) is a length mismatch,
-    // never a silent misparse.
-    EXPECT_FALSE(decode_request(MsgType::kRequestV2, frame->payload,
-                                frame->size)
-                     .has_value());
-}
-
 TEST(Wire, RequestRoundTripBoundarySizes)
 {
     // Empty, single, and large address sets — including the asymmetric
@@ -182,48 +147,34 @@ TEST(Wire, ResponseRoundTripAllVerdictsAndReasons)
                          static_cast<obs::AbortReason>(r)};
             in.result.conflict_cid = 0xfeedULL;
             in.stages = {11, 22, 33, 44};
-            // Both versions must round-trip; only v2 carries the stages.
-            for (bool v2 : {false, true}) {
-                std::vector<uint8_t> bytes;
-                encode_response(bytes, in, v2);
-                FrameReader reader;
-                reader.append(bytes.data(), bytes.size());
-                auto frame = reader.next();
-                ASSERT_TRUE(frame.has_value());
-                EXPECT_EQ(frame->type, v2 ? MsgType::kResponseV2
-                                          : MsgType::kResponse);
-                auto out = decode_response(frame->type, frame->payload,
-                                           frame->size);
-                ASSERT_TRUE(out.has_value());
-                EXPECT_EQ(out->request_id, in.request_id);
-                EXPECT_EQ(out->result.verdict, in.result.verdict);
-                EXPECT_EQ(out->result.reason, in.result.reason);
-                EXPECT_EQ(out->result.cid, in.result.cid);
-                EXPECT_EQ(out->has_stages, v2);
-                if (v2) {
-                    EXPECT_EQ(out->stages.server_queue_ns, 11u);
-                    EXPECT_EQ(out->stages.batch_wait_ns, 22u);
-                    EXPECT_EQ(out->stages.engine_ns, 33u);
-                    EXPECT_EQ(out->stages.link_ns, 44u);
-                    // v2 carries the abort provenance verbatim...
-                    EXPECT_EQ(out->result.conflict_cid, 0xfeedULL);
-                } else {
-                    // ...v1 has no field for it: decoders must leave
-                    // the sentinel, never garbage.
-                    EXPECT_EQ(out->result.conflict_cid,
-                              core::kNoConflictCid);
-                }
-            }
+            std::vector<uint8_t> bytes;
+            encode_response(bytes, in);
+            FrameReader reader;
+            reader.append(bytes.data(), bytes.size());
+            auto frame = reader.next();
+            ASSERT_TRUE(frame.has_value());
+            EXPECT_EQ(frame->type, MsgType::kResponseV2);
+            auto out = decode_response(frame->type, frame->payload,
+                                       frame->size);
+            ASSERT_TRUE(out.has_value());
+            EXPECT_EQ(out->request_id, in.request_id);
+            EXPECT_EQ(out->result.verdict, in.result.verdict);
+            EXPECT_EQ(out->result.reason, in.result.reason);
+            EXPECT_EQ(out->result.cid, in.result.cid);
+            EXPECT_EQ(out->stages.server_queue_ns, 11u);
+            EXPECT_EQ(out->stages.batch_wait_ns, 22u);
+            EXPECT_EQ(out->stages.engine_ns, 33u);
+            EXPECT_EQ(out->stages.link_ns, 44u);
+            // The abort provenance travels verbatim.
+            EXPECT_EQ(out->result.conflict_cid, 0xfeedULL);
         }
     }
 }
 
 TEST(Wire, DecodeRejectsMalformedPayloads)
 {
-    // Too short for the fixed request header (both versions).
+    // Too short for the fixed request header.
     uint8_t small[8] = {};
-    EXPECT_FALSE(
-        decode_request(MsgType::kRequest, small, sizeof(small)).has_value());
     EXPECT_FALSE(decode_request(MsgType::kRequestV2, small, sizeof(small))
                      .has_value());
 
@@ -270,10 +221,6 @@ TEST(Wire, DecodeRejectsMalformedPayloads)
                      .has_value());
     EXPECT_FALSE(decode_response(MsgType::kResponseV2, rpayload.data(),
                                  rpayload.size() - 1)
-                     .has_value());
-    // A v2-sized payload is not a valid v1 response, and vice versa.
-    EXPECT_FALSE(decode_response(MsgType::kResponse, rpayload.data(),
-                                 rpayload.size())
                      .has_value());
 }
 
@@ -504,8 +451,9 @@ TEST(SvcServer, AnswersTopKInline)
 }
 
 /// kDump without a recorder fails softly with a JSON error; with the
-/// recorder enabled it writes a schema-complete incident file and
-/// replies with its path.
+/// recorder enabled it writes an incident file and replies with its
+/// path. An armed recorder brings the monitor along even when
+/// monitor.enabled is off, so the incident carries the sampler rings.
 TEST(SvcServer, DumpAnswersInlineAndWritesIncidents)
 {
     // Disabled recorder: {"ok": false}, connection stays usable.
@@ -538,6 +486,7 @@ TEST(SvcServer, DumpAnswersInlineAndWritesIncidents)
         config.socket_path = test_socket_path("dumpon");
         config.recorder.enabled = true;
         config.recorder.output_prefix = prefix;
+        config.monitor.enabled = false;
         Server server(config);
         ASSERT_TRUE(server.start());
         const int fd = connect_raw(config.socket_path);
@@ -552,8 +501,14 @@ TEST(SvcServer, DumpAnswersInlineAndWritesIncidents)
         EXPECT_NE(json.find("\"ok\": true"), std::string::npos) << json;
         const std::string expect_path = prefix + "-1.json";
         EXPECT_NE(json.find(expect_path), std::string::npos) << json;
-        EXPECT_EQ(access(expect_path.c_str(), F_OK), 0)
-            << "incident file missing: " << expect_path;
+        std::ifstream in(expect_path);
+        ASSERT_TRUE(in.good()) << "incident file missing: " << expect_path;
+        std::stringstream incident;
+        incident << in.rdbuf();
+        EXPECT_NE(incident.str().find("\"enabled\": true"),
+                  std::string::npos);
+        EXPECT_NE(incident.str().find("\"svc.abort_rate\""),
+                  std::string::npos);
         close(fd);
         server.stop();
         unlink(expect_path.c_str());
@@ -661,41 +616,62 @@ TEST(SvcServer, DropsMalformedConnections)
     EXPECT_EQ(server.stats().get("svc.malformed"), 1u);
 }
 
-/// Wire versioning: a pre-trace-context (v1) frame must still validate
-/// against a v2 server, and the server must answer it with a v1
-/// response so the old decoder never sees an unknown frame type.
-TEST(SvcServer, AnswersV1FramesWithV1Responses)
+/// The retired v1 frames (type bytes 1 and 2) take the unknown-type
+/// path: the connection that sent one is closed with svc.malformed
+/// accounted, while the server keeps serving every other connection
+/// and the request ledger stays balanced.
+TEST(SvcServer, ClosesConnectionOnV1Frame)
 {
     ServerConfig config;
-    config.socket_path = test_socket_path("v1compat");
+    config.socket_path = test_socket_path("v1closed");
     Server server(config);
     ASSERT_TRUE(server.start());
 
-    const int fd = connect_raw(config.socket_path);
-    ASSERT_GE(fd, 0);
+    const int bystander = connect_raw(config.socket_path);
+    ASSERT_GE(bystander, 0);
+    for (const uint8_t type : {uint8_t{1}, uint8_t{2}}) {
+        const int fd = connect_raw(config.socket_path);
+        ASSERT_GE(fd, 0);
+        // A well-formed v1 request body (ids, deadline, one write):
+        // only the type byte makes it unacceptable.
+        std::vector<uint8_t> bytes = {40, 0, 0, 0, type};
+        bytes.resize(kFrameHeaderBytes + 40, 0);
+        bytes[kFrameHeaderBytes + 28] = 1; // n_writes
+        ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()));
+        uint8_t buf[16];
+        EXPECT_EQ(recv(fd, buf, sizeof(buf), 0), 0)
+            << "type " << int(type) << " frame did not close";
+        close(fd);
+    }
 
+    // The connection opened before the v1 frames is still served.
     WireRequest request;
     request.request_id = 42;
     request.offload.writes = {7};
     std::vector<uint8_t> bytes;
-    encode_request_v1(bytes, request);
-    ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+    encode_request(bytes, request);
+    ASSERT_EQ(send(bystander, bytes.data(), bytes.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(bytes.size()));
-
-    auto payload = read_frame_of_type(fd, MsgType::kResponse);
-    ASSERT_TRUE(payload.has_value()) << "no v1 response frame";
-    auto response = decode_response(MsgType::kResponse, payload->data(),
+    auto payload = read_frame_of_type(bystander, MsgType::kResponseV2);
+    ASSERT_TRUE(payload.has_value()) << "bystander got no response";
+    auto response = decode_response(MsgType::kResponseV2, payload->data(),
                                     payload->size());
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->request_id, request.request_id);
     EXPECT_EQ(response->result.verdict, core::Verdict::kCommit);
-    EXPECT_FALSE(response->has_stages);
+    close(bystander);
 
-    close(fd);
     server.stop();
-    EXPECT_EQ(server.stats().get("svc.requests"), 1u);
-    EXPECT_EQ(server.stats().get("svc.verdict.commit"), 1u);
-    EXPECT_EQ(server.stats().get("svc.malformed"), 0u);
+    const CounterBag stats = server.stats();
+    EXPECT_EQ(stats.get("svc.malformed"), 2u);
+    EXPECT_EQ(stats.get("svc.requests"), 1u);
+    uint64_t answered = stats.get("svc.timeout") + stats.get("svc.rejected");
+    for (size_t v = 0; v < core::kVerdictCount; ++v) {
+        answered += stats.get(std::string("svc.verdict.") +
+                              core::to_string(static_cast<core::Verdict>(v)));
+    }
+    EXPECT_EQ(answered, stats.get("svc.requests"));
 }
 
 /// An op the server does not serve (here: a response type and an
@@ -1479,8 +1455,9 @@ TEST(SvcServer, AnswersSeriesAndPromInline)
 }
 
 /// A server running without a monitor still answers kSeries — with an
-/// explicit "enabled": false, so pollers (svcctl watch) can fall back
-/// to kStats instead of misreading an empty ring as idleness.
+/// explicit "enabled": false and no series, so pollers (svcctl watch,
+/// svcctl monitor) show '-' columns instead of misreading an empty
+/// ring as idleness.
 TEST(SvcServer, SeriesReportsMonitorDisabled)
 {
     ServerConfig config;

@@ -46,6 +46,9 @@ LOADGEN_A_PID=$!
 wait_for_socket
 
 # Watch for 8 samples at 50 ms; capture stderr for the reconnect log.
+# Create the output file first: the background job's redirection may
+# not have run yet when the sample poll below reads it.
+: > "$OUT"
 "$SVCCTL" --socket="$SOCK" watch --interval-ms=50 --count=8 \
     > "$OUT" 2> "$ERR" &
 WATCH_PID=$!

@@ -440,7 +440,6 @@ TEST(HealthMonitor, CriticalSloDumpsIncidentWithBreachingSeries)
     std::snprintf(prefix, sizeof prefix, "/tmp/slo_incident_%d",
                   getpid());
     rec_config.output_prefix = prefix;
-    rec_config.abort_rate_threshold = 0.0; // SLO is the only trigger
     FlightRecorder recorder(rec_config, [&](Registry& out) {
         out.merge(registry);
     });

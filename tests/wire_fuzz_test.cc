@@ -1,6 +1,6 @@
 /// Robustness fuzz for the svc wire decoder and the server's framing
-/// path: seeded, deterministic truncations and bit-flips of valid v1
-/// and v2 frames (plus pure garbage streams) must always end in a
+/// path: seeded, deterministic truncations and bit-flips of valid
+/// frames (plus pure garbage streams) must always end in a
 /// clean outcome — an incomplete frame awaiting more bytes, a
 /// malformed-stream verdict (connection drop), or a well-bounded
 /// decoded frame. Never a crash, an unbounded loop, an overread (the
@@ -55,13 +55,9 @@ valid_frames()
 
     std::vector<std::vector<uint8_t>> frames;
     frames.emplace_back();
-    encode_request_v1(frames.back(), request);
-    frames.emplace_back();
     encode_request(frames.back(), request);
     frames.emplace_back();
-    encode_response(frames.back(), response, /*v2=*/false);
-    frames.emplace_back();
-    encode_response(frames.back(), response, /*v2=*/true);
+    encode_response(frames.back(), response);
     frames.emplace_back();
     encode_stats_request(frames.back());
     frames.emplace_back();
@@ -112,7 +108,6 @@ drain(FrameReader& reader, size_t fed_bytes)
         // Whatever survived framing must decode without crashing and
         // within the protocol's own bounds.
         switch (frame->type) {
-        case MsgType::kRequest:
         case MsgType::kRequestV2: {
             const auto decoded =
                 decode_request(frame->type, frame->payload, frame->size);
@@ -122,7 +117,6 @@ drain(FrameReader& reader, size_t fed_bytes)
             }
             break;
         }
-        case MsgType::kResponse:
         case MsgType::kResponseV2:
             (void)decode_response(frame->type, frame->payload,
                                   frame->size);

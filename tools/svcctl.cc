@@ -13,12 +13,13 @@
 ///       Print one histogram's summary line (count/mean/max/p50/p90/
 ///       p99), e.g. NAME = svc.stage.engine or svc.batch.rpc_ns.
 ///   svcctl [--socket=PATH] watch [--interval-ms=500] [--count=0]
-///       Periodically print a one-line load summary (requests,
-///       queue depth, window occupancy, open connections). count=0
-///       runs until interrupted. A lost connection (server restart)
-///       is survived: watch reconnects with bounded exponential
-///       backoff and resumes, only giving up when the server stays
-///       unreachable through the whole backoff budget.
+///       Periodically print a one-line load summary from the server's
+///       monitor (request rate, queue depth, window occupancy, open
+///       connections, health; '-' where the server runs without a
+///       monitor). count=0 runs until interrupted. A lost connection
+///       (server restart) is survived: watch reconnects with bounded
+///       exponential backoff and resumes, only giving up when the
+///       server stays unreachable through the whole backoff budget.
 ///   svcctl [--socket=PATH] shards
 ///       Print the per-shard breakdown of a sharded server
 ///       (validations, aborts, window occupancy per shard, plus the
@@ -428,10 +429,9 @@ cmd_shards(const std::string& socket_path)
 }
 
 /// Formatted view of the kTopKReply JSON. The reply's shape is fixed
-/// by ShardRouter::topk_json / ValidationPipeline::topk_json —
-/// {"shards": [{"shard": S, "offered": N, "entries": [{"key": K,
-/// "count": C, "error": E}, ...]}, ...]} — so a linear scan is enough;
-/// this is not a general JSON parser.
+/// by ShardRouter::topk_json — {"shards": [{"shard": S, "offered": N,
+/// "entries": [{"key": K, "count": C, "error": E}, ...]}, ...]} — so a
+/// linear scan is enough; this is not a general JSON parser.
 void
 print_topk_table(const std::string& json)
 {
@@ -736,12 +736,11 @@ cmd_watch(const std::string& socket_path, unsigned interval_ms,
     }
     // Watch rides the kSeries op so its request rate is the *server's*
     // windowed rate (the same number monitor and the SLO rules see),
-    // not a client-side delta between two kStats snapshots. A server
-    // without a monitor ("enabled": false) falls back to raw kStats
-    // totals; a rate column shows '-' until the sampler has two points.
+    // not a client-side delta between two kStats snapshots. A column
+    // shows '-' until its series has a value — always, on a server
+    // without a monitor, as in monitor's series table.
     std::printf("%12s %12s %12s %12s %10s\n", "req/s", "queue", "window",
                 "conns", "health");
-    bool legacy_noted = false;
     for (unsigned i = 0; count == 0 || i < count;) {
         std::string json;
         if (!fetch_series(fd, json)) {
@@ -754,57 +753,25 @@ cmd_watch(const std::string& socket_path, unsigned interval_ms,
             }
             continue; // retry this sample on the fresh connection
         }
-        if (json.find("\"enabled\": false") != std::string::npos) {
-            if (!legacy_noted) {
-                std::fprintf(stderr, "svcctl: server runs without a"
-                                     " monitor; showing kStats totals\n");
-                legacy_noted = true;
+        std::string health;
+        std::string samples;
+        split_series_reply(json, health, samples);
+        auto series_field = [&](const char* name, const char* field) {
+            for (const std::string& s : split_named_objects(samples)) {
+                if (extract_string(s, "name") != name) continue;
+                double v = 0.0;
+                if (extract_opt_number(s, field, &v)) return format_value(v);
+                break;
             }
-            if (!fetch_stats(fd, json)) {
-                close(fd);
-                std::fprintf(stderr,
-                             "svcctl: connection lost, reconnecting\n");
-                fd = reconnect();
-                if (fd < 0) {
-                    std::fprintf(stderr,
-                                 "svcctl: server did not come back\n");
-                    return 1;
-                }
-                continue;
-            }
-            std::printf("%12.0f %12.0f %12.0f %12.0f %10s\n",
-                        extract_number(json, "svc.requests"),
-                        extract_number(json, "svc.queue_depth"),
-                        extract_number(json, "svc.window_occupancy"),
-                        extract_number(json, "svc.connections_open"), "-");
-        } else {
-            std::string health;
-            std::string samples;
-            split_series_reply(json, health, samples);
-            auto series_field = [&](const char* name, const char* field,
-                                    std::string& out) {
-                for (const std::string& s : split_named_objects(samples)) {
-                    if (extract_string(s, "name") != name) continue;
-                    double v = 0.0;
-                    if (extract_opt_number(s, field, &v)) {
-                        out = format_value(v);
-                    }
-                    return;
-                }
-            };
-            std::string rate = "-";
-            std::string queue = "-";
-            std::string window = "-";
-            std::string conns = "-";
-            series_field("svc.requests", "rate", rate);
-            series_field("svc.queue_depth", "last", queue);
-            series_field("svc.window_occupancy", "last", window);
-            series_field("svc.connections_open", "last", conns);
-            const std::string overall = extract_string(health, "state");
-            std::printf("%12s %12s %12s %12s %10s\n", rate.c_str(),
-                        queue.c_str(), window.c_str(), conns.c_str(),
-                        overall.empty() ? "-" : overall.c_str());
-        }
+            return std::string("-");
+        };
+        const std::string overall = extract_string(health, "state");
+        std::printf("%12s %12s %12s %12s %10s\n",
+                    series_field("svc.requests", "rate").c_str(),
+                    series_field("svc.queue_depth", "last").c_str(),
+                    series_field("svc.window_occupancy", "last").c_str(),
+                    series_field("svc.connections_open", "last").c_str(),
+                    overall.empty() ? "-" : overall.c_str());
         std::fflush(stdout);
         ++i;
         if (count == 0 || i < count) {
