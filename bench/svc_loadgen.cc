@@ -41,7 +41,7 @@
 ///   --zipf=THETA skews key choice to a Zipf(theta) distribution
 ///   (inverse-CDF table per client, no pow() in the request loop), so
 ///   the conflict hot set is a handful of planted keys — the workload
-///   `svcctl top` is meant to expose. --hot-keys=N forces an abort
+///   `svcctl stats --top` is meant to expose. --hot-keys=N forces an abort
 ///   spike: every key is drawn from [0, N) and requests carry
 ///   snapshot_cid=0 (a maximally stale snapshot), so nearly every
 ///   validation collides with the window and aborts. --recorder-out=P
@@ -58,10 +58,7 @@
 /// (--recorder-out) a critical SLO dumps an incident with trigger
 /// "slo:abort-rate", and with --slo-abort-rate set too svc_loadgen
 /// exits 1 if no "slo:" incident was written — the contract the
-/// incident ctest fixture pins down. --prom-out=FILE writes the
-/// server's final metrics snapshot in Prometheus text exposition
-/// format (the node-exporter textfile-collector shape) and narrows the
-/// sweep to its first cell.
+/// incident ctest fixture pins down.
 ///
 /// Usage:
 ///   svc_loadgen [--clients=1,2,4,8] [--batch=1,8,32] [--shards=1]
@@ -69,7 +66,7 @@
 ///               [--writes=2] [--keys=4096] [--stages=1]
 ///               [--tm-threads=N] [--zipf=THETA] [--hot-keys=N]
 ///               [--recorder-out=PREFIX] [--monitor=1]
-///               [--prom-out=FILE] [--slo-abort-rate=X]
+///               [--slo-abort-rate=X]
 ///               [--slo-fast-ms=N] [--slo-slow-ms=N]
 ///               [--telemetry-server=FILE] [--telemetry-client=FILE]
 ///               [--socket=/tmp/rococo_loadgen.sock] [--csv=FILE]
@@ -151,7 +148,6 @@ struct LoadConfig
     uint64_t hot_keys = 0;   ///< > 0: abort spike over [0, hot_keys)
     std::string recorder_out;        ///< arm the server flight recorder
     bool monitor = true;             ///< server health monitor on/off
-    std::string prom_out;            ///< Prometheus textfile snapshot
     double slo_abort_rate = 0;       ///< override abort-rate SLO threshold
     uint64_t slo_fast_ms = 0;        ///< override SLO fast window
     uint64_t slo_slow_ms = 0;        ///< override SLO slow window
@@ -455,18 +451,6 @@ run_one(const LoadConfig& load, size_t clients, size_t batch,
     }
     const uint64_t elapsed = obs::now_ns() - start_ns;
 
-    // Textfile-collector snapshot (Prometheus text exposition) of the
-    // server's final state, written before stop() so the gauges still
-    // show the live run, not the drained shutdown.
-    if (!load.prom_out.empty()) {
-        obs::Registry prom_registry;
-        server.export_metrics(prom_registry);
-        if (!prom_registry.export_prom_file(load.prom_out)) {
-            std::fprintf(stderr, "svc_loadgen: cannot write %s\n",
-                         load.prom_out.c_str());
-            std::exit(1);
-        }
-    }
     server.stop();
 
     // Accounting cross-check between the two sides of the wire.
@@ -579,7 +563,7 @@ main(int argc, char** argv)
             {"clients", "batch", "shards", "requests", "outstanding",
              "reads", "writes", "keys", "socket", "csv", "stages",
              "tm-threads", "telemetry-server", "telemetry-client",
-             "zipf", "hot-keys", "recorder-out", "monitor", "prom-out",
+             "zipf", "hot-keys", "recorder-out", "monitor",
              "slo-abort-rate", "slo-fast-ms", "slo-slow-ms"});
     LoadConfig load;
     load.socket_path = cli.get("socket", "/tmp/rococo_loadgen_" +
@@ -600,7 +584,6 @@ main(int argc, char** argv)
         std::max<int64_t>(0, cli.get_int("hot-keys", 0)));
     load.recorder_out = cli.get("recorder-out", "");
     load.monitor = cli.get_bool("monitor", true);
-    load.prom_out = cli.get("prom-out", "");
     load.slo_abort_rate = cli.get_double("slo-abort-rate", 0.0);
     load.slo_fast_ms = static_cast<uint64_t>(
         std::max<int64_t>(0, cli.get_int("slo-fast-ms", 0)));
@@ -618,10 +601,9 @@ main(int argc, char** argv)
         client_counts = {1};
     }
     if (!telemetry_server.empty() || !telemetry_client.empty() ||
-        !load.recorder_out.empty() || !load.prom_out.empty()) {
+        !load.recorder_out.empty()) {
         // A telemetry capture (or an armed flight recorder, whose
-        // incident files are numbered per server; or a Prometheus
-        // snapshot, which is one file per server) wants one clean
+        // incident files are numbered per server) wants one clean
         // measured region, not a sweep: keep the first cell only.
         client_counts.resize(1);
         batches.resize(1);

@@ -26,20 +26,20 @@
 ///     (default 4) genuine client *processes*, each pumping KV-shaped
 ///     validation RPCs whose read/write sets are the slot-derived wire
 ///     addresses of the hashed key space (KeyMapper::meta_addr/
-///     value_addr of the key's home slot) — so `svcctl top` sees real
-///     KV conflict addresses and scripts/resolve_topk.py can join them
-///     back to string keys via --key-map-out. The server-side
+///     value_addr of the key's home slot) — so `svcctl stats --top`
+///     sees real KV conflict addresses and scripts/resolve_topk.py can
+///     join them back to string keys via --key-map-out. The server-side
 ///     accounting ledger (svc.requests vs. answers) is cross-checked
 ///     on exit; an imbalance exits 1. --stale-snapshots=1 sends
 ///     snapshot_cid=0 so every window overlap aborts — the conflict
-///     storm the forensics e2e test feeds to `svcctl top`.
+///     storm the forensics e2e test feeds to `svcctl stats --top`.
 ///
 /// --key-map-out=FILE dumps the key→slot/address dictionary: resolved
 /// occupied slots in in-process mode (after the first OCC run), home
 /// slots in service mode (where no table exists — requests carry home
-/// addresses). --telemetry-out / --prom-out capture the first engine
-/// run's registry (kv.* + tm.*) as a telemetry envelope / Prometheus
-/// textfile; both narrow the run to its first workload/zipf cell.
+/// addresses). --telemetry-out captures the first engine run's
+/// registry (kv.* + tm.*) as a telemetry envelope and narrows the run
+/// to its first workload/zipf cell.
 /// --slo-p99-us=X checks every op's p99 against an SLO and exits 1 on
 /// breach.
 ///
@@ -48,8 +48,7 @@
 ///            [--threads=4] [--ops=100000] [--keys=8192]
 ///            [--capacity=65536] [--zipf=0.99 | 0,0.99] [--txn-keys=4]
 ///            [--rmw-pct=0] [--scan-pct=0] [--seed=42] [--csv=FILE]
-///            [--slo-p99-us=X] [--telemetry-out=FILE] [--prom-out=FILE]
-///            [--key-map-out=FILE]
+///            [--slo-p99-us=X] [--telemetry-out=FILE] [--key-map-out=FILE]
 ///   ycsb_run --service [--clients=4] [--shards=2] [--requests=20000]
 ///            [--outstanding=16] [--stale-snapshots=0] [--socket=PATH]
 ///            [workload/key flags as above]
@@ -493,7 +492,8 @@ run_svc_client(const SvcRunConfig& cfg, unsigned seed)
         }
         // Current snapshot: conflicts come from genuine window
         // overlap. Stale (cid 0) turns every overlap into an abort —
-        // the planted storm the forensics e2e feeds `svcctl top`.
+        // the planted storm the forensics e2e reads with
+        // `svcctl stats --top`.
         request.snapshot_cid = cfg.stale ? 0 : ~uint64_t{0} >> 1;
         window.push_back({client.submit(std::move(request)),
                           obs::now_ns()});
@@ -612,7 +612,7 @@ main(int argc, char** argv)
     Cli cli(argc, argv,
             {"workload", "engine", "threads", "ops", "keys", "capacity",
              "zipf", "txn-keys", "rmw-pct", "scan-pct", "seed", "csv",
-             "slo-p99-us", "telemetry-out", "prom-out", "key-map-out",
+             "slo-p99-us", "telemetry-out", "key-map-out",
              "service", "clients", "shards", "requests", "outstanding",
              "stale-snapshots", "socket"});
 
@@ -706,10 +706,9 @@ main(int argc, char** argv)
     }
 
     const std::string telemetry_out = cli.get("telemetry-out", "");
-    const std::string prom_out = cli.get("prom-out", "");
     const std::string key_map_out = cli.get("key-map-out", "");
     const double slo_p99_us = cli.get_double("slo-p99-us", 0.0);
-    if (!telemetry_out.empty() || !prom_out.empty()) {
+    if (!telemetry_out.empty()) {
         // A capture wants one clean measured region, not a sweep.
         workloads.resize(1);
         zipfs.resize(1);
@@ -773,17 +772,6 @@ main(int argc, char** argv)
                     .num(double(row.op[kv::kOpScan].p99_ns) / 1e3, 1)
                     .num(row.elapsed_ms, 1);
 
-                if (first_run && !prom_out.empty()) {
-                    obs::Registry prom;
-                    prom.merge(store->metrics());
-                    if (occ) prom.merge(occ->runtime().registry());
-                    if (!prom.export_prom_file(prom_out)) {
-                        std::fprintf(stderr,
-                                     "ycsb_run: cannot write %s\n",
-                                     prom_out.c_str());
-                        return 1;
-                    }
-                }
                 if (session) {
                     obs::Registry::global().merge(store->metrics());
                     if (occ) {

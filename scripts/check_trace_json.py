@@ -28,9 +28,9 @@ Checks, in order:
    well-formed request must be answered exactly once:
    svc.requests == sum(svc.verdict.*) + svc.timeout + svc.rejected.
    Client-side counters ("svc.client.*") are excluded — the
-   "svc.verdict." prefix does not match them. Stats snapshots
-   ("svc.stats") are answered outside the request path and excluded by
-   design.
+   "svc.verdict." prefix does not match them. Snapshots
+   ("svc.snapshot") are answered outside the request path and excluded
+   by design.
 
 5. Span chains (skippable with --no-chain, for metrics-only files from
    replay/simulator benches): every "tx.commit" span must sit inside a
@@ -153,7 +153,7 @@ def check_svc_accounting(counters):
     The server bumps svc.requests once per well-formed frame and exactly
     one of the answer counters per request (stop() counts still-queued
     requests as rejected), so an imbalance means a request was dropped
-    or double-answered. Stats snapshots bump svc.stats instead of
+    or double-answered. Snapshots bump svc.snapshot instead of
     svc.requests, so introspection never unbalances the ledger.
     """
     if "svc.requests" not in counters:

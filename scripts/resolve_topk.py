@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Join conflict top-K output back to string KV keys.
 
-`svcctl top --json` (and the "topk" section of flight-recorder
+The "topk" section of a `svcctl stats` snapshot (and of flight-recorder
 incident files) reports conflicting *wire addresses* — opaque numbers
 for KV traffic. `bench/ycsb_run --key-map-out=FILE` dumps the
 key→slot/address dictionary of the same run: every key's slot plus its
@@ -13,10 +13,10 @@ Inputs:
   --keymap FILE   JSON from ycsb_run --key-map-out
                   ({"capacity":..., "mode": "resolved"|"home",
                     "entries":[{"key","slot","meta_addr","value_addr"}]})
-  --topk FILE     either the raw `svcctl top --json` reply
-                  ({"shards":[{"shard","offered","entries":[...]}]})
-                  or a flight-recorder incident file (its "topk"
-                  object is used).
+  --topk FILE     a `svcctl stats` snapshot or a flight-recorder
+                  incident file (its "topk" object is used), or a
+                  bare top-K table
+                  ({"shards":[{"shard","offered","entries":[...]}]}).
 
 Output: one table row per top-K entry — shard, address, the resolved
 key and which of its cells (meta/value) the address names, count and
@@ -51,8 +51,7 @@ def load_keymap(path):
 def load_topk(path):
     with open(path) as f:
         doc = json.load(f)
-    # Incident files nest the table under "topk"; svcctl top --json is
-    # the table itself.
+    # Snapshots and incident files nest the table under "topk".
     table = doc.get("topk", doc)
     shards = table.get("shards")
     if not isinstance(shards, list):

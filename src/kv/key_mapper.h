@@ -7,7 +7,7 @@
 /// only on the key bytes and the table capacity, never on insertion
 /// history — so the same key maps to the same probe sequence in the
 /// OCC store, the 2PL baseline and the service-mode YCSB clients, and
-/// the wire addresses below let conflict forensics (svcctl top,
+/// the wire addresses below let conflict forensics (svcctl stats --top,
 /// scripts/resolve_topk.py) be joined back to string keys.
 ///
 /// Collision accounting: every probe step that lands on a slot owned

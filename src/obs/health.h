@@ -198,8 +198,8 @@ class HealthMonitor
     void tick(uint64_t now_ns);
 
     /// {"now_ns": .., "health": <SloEngine::to_json>,
-    ///  "series": <MetricSampler::to_json>} — the kSeries payload and
-    /// the incident "health" section.
+    ///  "series": <MetricSampler::to_json>} — the "monitor" section of
+    /// the kSnapshot reply and the incident "health" section.
     void status_json(std::string* out) const;
 
   private:

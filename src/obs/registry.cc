@@ -4,7 +4,6 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <vector>
 
@@ -239,10 +238,9 @@ Registry::merge(const Registry& other)
         for (const auto& [name, h] : other.histograms_)
             hists.emplace_back(name, h.get());
     }
-    for (const auto& [name, c] : counters) {
-        const uint64_t v = c->value();
-        if (v) counter(name).add(v);
-    }
+    // Zero-valued counters are created too: a merged snapshot lists
+    // every counter the source defines, not only those that moved.
+    for (const auto& [name, c] : counters) counter(name).add(c->value());
     for (const auto& [name, g] : gauges) gauge(name).merge(*g);
     for (const auto& [name, h] : hists) histogram(name).merge(*h);
 }
@@ -360,94 +358,11 @@ Registry::to_csv(std::ostream& out) const
     }
 }
 
-namespace {
-
-/// Sanitize a dotted metric name into the Prometheus charset.
-std::string
-prom_name(const std::string& name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == ':';
-        out.push_back(ok ? c : '_');
-    }
-    if (out.empty() || (out[0] >= '0' && out[0] <= '9')) {
-        out.insert(out.begin(), '_');
-    }
-    return out;
-}
-
-} // namespace
-
-void
-Registry::export_prom(std::ostream& out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    char buf[320];
-    for (const auto& [name, c] : counters_) {
-        const std::string n = prom_name(name) + "_total";
-        std::snprintf(buf, sizeof(buf),
-                      "# TYPE %s counter\n%s %" PRIu64 "\n", n.c_str(),
-                      n.c_str(), c->value());
-        out << buf;
-    }
-    for (const auto& [name, g] : gauges_) {
-        const std::string n = prom_name(name);
-        std::snprintf(buf, sizeof(buf), "# TYPE %s gauge\n%s %g\n",
-                      n.c_str(), n.c_str(), g->value());
-        out << buf;
-    }
-    for (const auto& [name, h] : histograms_) {
-        const std::string n = prom_name(name);
-        std::snprintf(buf, sizeof(buf),
-                      "# TYPE %s summary\n"
-                      "%s{quantile=\"0.5\"} %" PRIu64 "\n"
-                      "%s{quantile=\"0.9\"} %" PRIu64 "\n"
-                      "%s{quantile=\"0.99\"} %" PRIu64 "\n",
-                      n.c_str(), n.c_str(), h->quantile(0.5), n.c_str(),
-                      h->quantile(0.9), n.c_str(), h->quantile(0.99));
-        out << buf;
-        std::snprintf(buf, sizeof(buf),
-                      "%s_sum %" PRIu64 "\n%s_count %" PRIu64 "\n",
-                      n.c_str(), h->sum(), n.c_str(), h->count());
-        out << buf;
-        // Exact extremes ride along as companion gauges — the summary
-        // type has no native min/max sample.
-        std::snprintf(buf, sizeof(buf),
-                      "# TYPE %s_min gauge\n%s_min %" PRIu64 "\n"
-                      "# TYPE %s_max gauge\n%s_max %" PRIu64 "\n",
-                      n.c_str(), n.c_str(), h->min(), n.c_str(), n.c_str(),
-                      h->max());
-        out << buf;
-    }
-}
-
 Registry&
 Registry::global()
 {
     static Registry registry;
     return registry;
-}
-
-bool
-Registry::export_prom_file(const std::string& path) const
-{
-    const std::string tmp = path + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    export_prom(out);
-    out.close();
-    if (!out) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace rococo::obs

@@ -142,7 +142,8 @@ class Registry
     uint64_t get(const std::string& name) const;
 
     /// Fold @p other into this registry (counters add, histograms add
-    /// bucket-wise, gauges merge their sample statistics).
+    /// bucket-wise, gauges merge their sample statistics). Every metric
+    /// of @p other ends up here, zero-valued counters included.
     void merge(const Registry& other);
 
     /// Ingest legacy string-keyed counters.
@@ -161,23 +162,9 @@ class Registry
     /// Flat CSV: kind,name,field,value — one row per exported scalar.
     void to_csv(std::ostream& out) const;
 
-    /// Prometheus text exposition (text/plain; version 0.0.4): counters
-    /// as "<name>_total" counter families, gauges as gauge families
-    /// (last sample), histograms as summary families (quantile samples
-    /// + _sum/_count) with exact extremes as companion _min/_max
-    /// gauges. Metric names are sanitized to the Prometheus charset
-    /// ([a-zA-Z_:][a-zA-Z0-9_:]*, '.' and '-' become '_').
-    /// scripts/check_prom.py lints this output in CI.
-    void export_prom(std::ostream& out) const;
-
     /// Process-wide registry the runtime-level telemetry records into
     /// while a TelemetrySession is active.
     static Registry& global();
-
-    /// Atomically (.tmp + rename) write export_prom() to @p path — the
-    /// node-exporter textfile-collector contract, so a scraper never
-    /// reads a half-written exposition. False on I/O failure.
-    bool export_prom_file(const std::string& path) const;
 
   private:
     mutable std::mutex mutex_;

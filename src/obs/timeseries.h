@@ -3,13 +3,13 @@
 /// snapshots a configured set of sources — counters, counter ratios,
 /// gauges, histogram quantiles, arbitrary callbacks — into
 /// fixed-capacity per-series rings holding (value, delta, rate) points.
-/// Where the kStats snapshot answers "what do the totals say *now*",
+/// Where the registry snapshot answers "what do the totals say *now*",
 /// a series answers the operational questions the totals cannot:
 /// abort-rate slope, queue-depth growth, p99 drift.
 ///
 /// The sampler is the substrate the SloEngine (obs/health.h) evaluates
-/// its multi-window burn-rate rules over, and the payload of the
-/// kSeries wire op (svcctl watch / svcctl monitor).
+/// its multi-window burn-rate rules over, and the "monitor" section of
+/// the kSnapshot wire op's reply (svcctl watch).
 ///
 /// Threading: the sampler owns NO thread. Owners call tick(now) from
 /// a loop they already run (svc::Server's poll loop); tick() is one

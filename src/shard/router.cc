@@ -22,7 +22,7 @@ make_result(core::Verdict verdict, uint64_t cid = 0)
 
 /// Hot-key ranks exported as gauges per shard (the full table travels
 /// through topk_json()).
-constexpr size_t kTopKExportRanks = 8;
+constexpr size_t kHotKeyExportRanks = 8;
 
 } // namespace
 
@@ -155,7 +155,7 @@ ShardRouter::attribute_conflict(Shard& shard, const SubRequest& sub,
         conflict_depth_->record(next - local);
         // Hot-key forensics: fence rejections are raised here in the
         // coordinator, before the manager ever sees the request, so
-        // without this offer `svcctl top` stays empty on sharded
+        // without this offer `svcctl stats --top` stays empty on sharded
         // deployments. Engine-raised cycle aborts already fed the
         // sketch inside commit_classified — skip those.
         if (result->reason == obs::AbortReason::kCrossShardFence) {
@@ -388,13 +388,13 @@ ShardRouter::export_metrics(obs::Registry& registry) const
     for (uint32_t s = 0; s < config_.shards; ++s) {
         Shard& shard = *shards_[s];
         size_t occupancy = 0;
-        obs::TopK::Entry top[kTopKExportRanks];
+        obs::TopK::Entry top[kHotKeyExportRanks];
         size_t top_n = 0;
         {
             std::lock_guard<std::mutex> lock(shard.mutex);
             occupancy = shard.engine.manager().validator().occupancy();
             top_n = shard.engine.conflict_topk().snapshot(
-                top, kTopKExportRanks);
+                top, kHotKeyExportRanks);
         }
         const std::string prefix = "shard." + std::to_string(s);
         for (size_t r = 0; r < top_n; ++r) {

@@ -236,12 +236,12 @@ class ShardRouter final : public fpga::ValidationBackend
     /// (shard.<i>.conflict.{victims,aggressors}, shard.conflict.depth)
     /// and the per-shard hot-key table
     /// (shard.<i>.topk.<rank>.{key,count} gauges — note keys above 2^53
-    /// lose precision through the double-typed gauge; the kTopK wire op
-    /// / topk_json() carries them exactly).
+    /// lose precision through the double-typed gauge; topk_json(), the
+    /// kSnapshot reply's "topk" section, carries them exactly).
     void export_metrics(obs::Registry& registry) const override;
 
-    /// Serialize every shard's conflict top-K table as JSON (the kTopK
-    /// wire-op payload): {"shards": [{"shard": s, "offered": n,
+    /// Serialize every shard's conflict top-K table as JSON (the "topk"
+    /// section of the kSnapshot reply): {"shards": [{"shard": s, "offered": n,
     /// "entries": [{"key":..,"count":..,"error":..}, ...]}, ...]}.
     /// Takes each shard lock in turn; exact u64 keys.
     void topk_json(std::string* out) const;

@@ -42,11 +42,8 @@ Server::Server(const ServerConfig& config)
       requests_(registry_.counter("svc.requests")),
       rejected_(registry_.counter("svc.rejected")),
       timeout_(registry_.counter("svc.timeout")),
-      stats_polls_(registry_.counter("svc.stats")),
-      topk_polls_(registry_.counter("svc.topk")),
+      snapshot_polls_(registry_.counter("svc.snapshot")),
       dump_requests_(registry_.counter("svc.dump")),
-      series_polls_(registry_.counter("svc.series")),
-      prom_polls_(registry_.counter("svc.prom")),
       overflow_(registry_.counter("svc.overflow")),
       malformed_(registry_.counter("svc.malformed")),
       disconnects_(registry_.counter("svc.disconnects")),
@@ -353,7 +350,7 @@ Server::read_client(int fd)
     // Bounded read per pass: a peer that writes faster than the service
     // drains would otherwise never let recv() hit EAGAIN, capturing the
     // service thread in this loop forever — decode, the engine, and
-    // every other connection (including kStats pollers) starve while
+    // every other connection (including kSnapshot pollers) starve while
     // the frame buffer grows without bound. Leftover bytes stay in the
     // kernel; level-triggered poll() re-reports the fd next pass.
     uint8_t buf[64 * 1024];
@@ -374,35 +371,18 @@ Server::read_client(int fd)
     const uint64_t generation = conn.generation;
     bool malformed = false;
     while (auto frame = conn.reader.next(&malformed)) {
-        if (frame->type == MsgType::kStats) {
-            // Introspection path: answered inline, never queued, never
-            // an engine pass — a stats poll cannot perturb the
+        if (frame->type == MsgType::kSnapshot ||
+            frame->type == MsgType::kDump) {
+            // Control path: answered inline, never queued, never an
+            // engine pass — a snapshot poll cannot perturb the
             // accounting invariant or evict window slots.
             if (frame->size != 0) {
                 malformed = true;
                 break;
             }
-            if (!handle_stats(fd)) {
-                return; // connection closed (outbound cap); conn dangles
-            }
-            continue;
-        }
-        if (frame->type == MsgType::kTopK || frame->type == MsgType::kDump ||
-            frame->type == MsgType::kSeries ||
-            frame->type == MsgType::kProm) {
-            // Same inline contract as kStats: answered from here, never
-            // queued, never an engine pass.
-            if (frame->size != 0) {
-                malformed = true;
-                break;
-            }
-            bool ok = false;
-            switch (frame->type) {
-            case MsgType::kTopK: ok = handle_topk(fd); break;
-            case MsgType::kDump: ok = handle_dump(fd); break;
-            case MsgType::kSeries: ok = handle_series(fd); break;
-            default: ok = handle_prom(fd); break;
-            }
+            const bool ok = frame->type == MsgType::kSnapshot
+                                ? handle_snapshot(fd)
+                                : handle_dump(fd);
             if (!ok) {
                 return; // connection closed (outbound cap); conn dangles
             }
@@ -437,12 +417,9 @@ Server::read_client(int fd)
 }
 
 bool
-Server::handle_stats(int fd)
+Server::handle_snapshot(int fd)
 {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) return false;
-    Connection& conn = it->second;
-    stats_polls_.add(1);
+    snapshot_polls_.add(1);
     // Refresh the live gauges so the snapshot reflects *now*, not the
     // last engine pass.
     queue_depth_.set(static_cast<double>(pending_.size()));
@@ -451,44 +428,34 @@ Server::handle_stats(int fd)
     // Snapshot service and shard metrics together, so svcctl sees the
     // shard.* keys next to the svc.* keys (merging the router into
     // registry_ itself would double-count counters on every poll).
-    obs::Registry snapshot;
-    snapshot.merge(registry_);
-    router_.export_metrics(snapshot);
-    std::ostringstream json;
-    snapshot.to_json(json);
-    encode_stats_reply(conn.out, json.str());
-    if (conn.out.size() - conn.out_off > config_.max_out_bytes) {
-        overflow_.add(1);
-        close_client(fd);
-        return false;
+    obs::Registry metrics;
+    metrics.merge(registry_);
+    router_.export_metrics(metrics);
+    std::ostringstream head;
+    head << "{\"metrics\": ";
+    metrics.to_json(head);
+    std::string json = head.str();
+    json += ",\n\"monitor\": ";
+    if (monitor_) {
+        // Refresh before reporting so a poll against an idle server
+        // reads "now", not the last traffic-driven sample; the regular
+        // cadence is unaffected (tick() keys off elapsed time).
+        monitor_->tick(obs::now_ns());
+        monitor_->status_json(&json);
+    } else {
+        json += "{\"enabled\": false, \"health\": {\"state\": \"ok\", "
+                "\"rules\": []}, \"samples\": {\"now_ns\": 0, "
+                "\"period_ns\": 0, \"series\": []}}";
     }
-    return true;
-}
-
-bool
-Server::handle_topk(int fd)
-{
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) return false;
-    Connection& conn = it->second;
-    topk_polls_.add(1);
-    std::string json;
-    router_.topk_json(&json);
-    encode_topk_reply(conn.out, json);
-    if (conn.out.size() - conn.out_off > config_.max_out_bytes) {
-        overflow_.add(1);
-        close_client(fd);
-        return false;
-    }
-    return true;
+    std::string topk;
+    router_.topk_json(&topk);
+    json += ",\n\"topk\": " + topk + "}";
+    return reply(fd, MsgType::kSnapshotReply, json);
 }
 
 bool
 Server::handle_dump(int fd)
 {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) return false;
-    Connection& conn = it->second;
     dump_requests_.add(1);
     std::string json;
     if (recorder_ == nullptr) {
@@ -505,60 +472,16 @@ Server::handle_dump(int fd)
             json = "{\"ok\": true, \"path\": \"" + path + "\"}";
         }
     }
-    encode_dump_reply(conn.out, json);
-    if (conn.out.size() - conn.out_off > config_.max_out_bytes) {
-        overflow_.add(1);
-        close_client(fd);
-        return false;
-    }
-    return true;
+    return reply(fd, MsgType::kDumpReply, json);
 }
 
 bool
-Server::handle_series(int fd)
+Server::reply(int fd, MsgType type, std::string_view json)
 {
     auto it = connections_.find(fd);
     if (it == connections_.end()) return false;
     Connection& conn = it->second;
-    series_polls_.add(1);
-    std::string json;
-    if (monitor_) {
-        // Refresh before reporting so a poll against an idle server
-        // reads "now", not the last traffic-driven sample; the regular
-        // cadence is unaffected (tick() keys off elapsed time).
-        monitor_->tick(obs::now_ns());
-        monitor_->status_json(&json);
-    } else {
-        json = "{\"enabled\": false, \"health\": {\"state\": \"ok\", "
-               "\"rules\": []}, \"samples\": {\"now_ns\": 0, "
-               "\"period_ns\": 0, \"series\": []}}";
-    }
-    encode_series_reply(conn.out, json);
-    if (conn.out.size() - conn.out_off > config_.max_out_bytes) {
-        overflow_.add(1);
-        close_client(fd);
-        return false;
-    }
-    return true;
-}
-
-bool
-Server::handle_prom(int fd)
-{
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) return false;
-    Connection& conn = it->second;
-    prom_polls_.add(1);
-    // Same snapshot the kStats path exposes, in exposition format.
-    queue_depth_.set(static_cast<double>(pending_.size()));
-    window_occupancy_.set(static_cast<double>(router_.occupancy()));
-    connections_open_.set(static_cast<double>(connections_.size()));
-    obs::Registry snapshot;
-    snapshot.merge(registry_);
-    router_.export_metrics(snapshot);
-    std::ostringstream text;
-    snapshot.export_prom(text);
-    encode_prom_reply(conn.out, text.str());
+    encode_control(conn.out, type, json);
     if (conn.out.size() - conn.out_off > config_.max_out_bytes) {
         overflow_.add(1);
         close_client(fd);

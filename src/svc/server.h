@@ -37,7 +37,7 @@
 ///     connection, so a peer that writes faster than the engine drains
 ///     cannot capture the service thread in its recv loop or grow the
 ///     frame buffer without bound; the remainder waits in the kernel
-///     and other connections (including kStats pollers) stay live.
+///     and other connections (including kSnapshot pollers) stay live.
 ///
 /// Every connection carries a monotonically increasing generation id,
 /// and queued requests are answered against (fd, generation): when the
@@ -45,13 +45,14 @@
 /// the old connection's still-queued verdicts are dropped (after
 /// accounting) rather than delivered to the new client.
 ///
-/// Introspection: a kStats frame is answered inline from read_client()
-/// with a kStatsReply carrying a JSON snapshot of the service registry
-/// — no engine pass, never queued, never counted in svc.requests (it
-/// bumps svc.stats instead), so live inspection cannot perturb the
-/// accounting invariant or evict window slots. kTopK (the conflict
-/// hot-key table, svc.topk) and kDump (manual flight-recorder incident,
-/// svc.dump) follow the same inline contract. Per-stage latency is
+/// Control ops: a kSnapshot frame is answered inline from read_client()
+/// with a kSnapshotReply carrying one JSON operator view — the service
+/// and shard metrics, the monitor's rings and SLO verdicts, and the
+/// conflict top-K table — with no engine pass, never queued, never
+/// counted in svc.requests (it bumps svc.snapshot instead), so live
+/// inspection cannot perturb the accounting invariant or evict window
+/// slots. kDump (manual flight-recorder incident, svc.dump) follows the
+/// same inline contract. Per-stage latency is
 /// attributed into svc.stage.{server_queue,batch_wait,engine,link}
 /// histograms and shipped back to the client in every response
 /// (wire.h StageTimestamps); when a request carries a trace id and
@@ -59,7 +60,7 @@
 /// Perfetto flow-end event binding it to the client's span.
 ///
 /// Threading: start() spawns one thread running a poll() loop that
-/// does accept/read/decode, the inline introspection ops, the engine
+/// does accept/read/decode, the inline control ops, the engine
 /// batch (process_batch() calls the router inline), response writes,
 /// all svc.* accounting, the monitor tick and incident dumps — one
 /// drainer taking requests in arrival order, as in Fig. 6 (b). The public API
@@ -119,11 +120,12 @@ struct ServerConfig
     /// Continuous monitoring (obs/health.h): a MetricSampler over the
     /// service series (request rate, abort ratio, engine p99, queue
     /// depth, window occupancy, connections, shard.imbalance) plus the
-    /// SLO burn-rate rules, ticked on the service thread and served by
-    /// the kSeries wire op. On by default — turning the *service* on is
-    /// the opt-in. A queue_threshold of 0 defaults to 90% of
-    /// max_pending; SLO breaches dump incidents only when the flight
-    /// recorder is armed too (which also forces the monitor on).
+    /// SLO burn-rate rules, ticked on the service thread and served in
+    /// the "monitor" section of the kSnapshot reply. On by default —
+    /// turning the *service* on is the opt-in. A queue_threshold of 0
+    /// defaults to 90% of max_pending; SLO breaches dump incidents only
+    /// when the flight recorder is armed too (which also forces the
+    /// monitor on).
     obs::MonitorConfig monitor;
 };
 
@@ -184,23 +186,19 @@ class Server
     void accept_clients();
     void read_client(int fd);
     void close_client(int fd);
-    /// Answer a kStats frame inline with a registry-snapshot JSON.
-    /// False if the connection had to be closed (outbound cap).
-    bool handle_stats(int fd);
-    /// Answer a kTopK frame inline with the router's conflict top-K
-    /// table. Same contract as handle_stats().
-    bool handle_topk(int fd);
+    /// Answer a kSnapshot frame inline with the operator view:
+    /// {"metrics": registry + router snapshot, "monitor": the monitor's
+    /// rings + health verdicts (or {"enabled": false} without a
+    /// monitor), "topk": the router's conflict top-K table}. False if
+    /// the connection had to be closed (outbound cap).
+    bool handle_snapshot(int fd);
     /// Answer a kDump frame inline: trigger a manual flight-recorder
     /// incident dump and reply with its path (or an error when the
-    /// recorder is disabled). Same contract as handle_stats().
+    /// recorder is disabled). Same contract as handle_snapshot().
     bool handle_dump(int fd);
-    /// Answer a kSeries frame inline with the monitor's rings + health
-    /// verdicts (or {"enabled": false} without a monitor). Same
-    /// contract as handle_stats().
-    bool handle_series(int fd);
-    /// Answer a kProm frame inline with the Prometheus exposition of a
-    /// fresh registry snapshot. Same contract as handle_stats().
-    bool handle_prom(int fd);
+    /// Queue a control reply of @p type on @p fd. False if the
+    /// connection was closed for exceeding the outbound cap.
+    bool reply(int fd, MsgType type, std::string_view json);
     /// Queue @p result on the connection currently at @p fd iff its
     /// generation matches. False if the answer was dropped (connection
     /// gone or fd recycled) or the connection was closed for exceeding
@@ -240,11 +238,8 @@ class Server
     obs::Counter& requests_;
     obs::Counter& rejected_;
     obs::Counter& timeout_;
-    obs::Counter& stats_polls_;
-    obs::Counter& topk_polls_;
+    obs::Counter& snapshot_polls_;
     obs::Counter& dump_requests_;
-    obs::Counter& series_polls_;
-    obs::Counter& prom_polls_;
     obs::Counter& overflow_;
     obs::Counter& malformed_;
     obs::Counter& disconnects_;

@@ -129,77 +129,11 @@ encode_response(std::vector<uint8_t>& out, const WireResponse& response)
 }
 
 void
-encode_stats_request(std::vector<uint8_t>& out)
+encode_control(std::vector<uint8_t>& out, MsgType type,
+               std::string_view payload)
 {
-    const size_t at = begin_frame(out, MsgType::kStats);
-    end_frame(out, at);
-}
-
-void
-encode_stats_reply(std::vector<uint8_t>& out, std::string_view json)
-{
-    const size_t at = begin_frame(out, MsgType::kStatsReply);
-    out.insert(out.end(), json.begin(), json.end());
-    end_frame(out, at);
-}
-
-void
-encode_topk_request(std::vector<uint8_t>& out)
-{
-    const size_t at = begin_frame(out, MsgType::kTopK);
-    end_frame(out, at);
-}
-
-void
-encode_topk_reply(std::vector<uint8_t>& out, std::string_view json)
-{
-    const size_t at = begin_frame(out, MsgType::kTopKReply);
-    out.insert(out.end(), json.begin(), json.end());
-    end_frame(out, at);
-}
-
-void
-encode_dump_request(std::vector<uint8_t>& out)
-{
-    const size_t at = begin_frame(out, MsgType::kDump);
-    end_frame(out, at);
-}
-
-void
-encode_dump_reply(std::vector<uint8_t>& out, std::string_view json)
-{
-    const size_t at = begin_frame(out, MsgType::kDumpReply);
-    out.insert(out.end(), json.begin(), json.end());
-    end_frame(out, at);
-}
-
-void
-encode_series_request(std::vector<uint8_t>& out)
-{
-    const size_t at = begin_frame(out, MsgType::kSeries);
-    end_frame(out, at);
-}
-
-void
-encode_series_reply(std::vector<uint8_t>& out, std::string_view json)
-{
-    const size_t at = begin_frame(out, MsgType::kSeriesReply);
-    out.insert(out.end(), json.begin(), json.end());
-    end_frame(out, at);
-}
-
-void
-encode_prom_request(std::vector<uint8_t>& out)
-{
-    const size_t at = begin_frame(out, MsgType::kProm);
-    end_frame(out, at);
-}
-
-void
-encode_prom_reply(std::vector<uint8_t>& out, std::string_view text)
-{
-    const size_t at = begin_frame(out, MsgType::kPromReply);
-    out.insert(out.end(), text.begin(), text.end());
+    const size_t at = begin_frame(out, type);
+    out.insert(out.end(), payload.begin(), payload.end());
     end_frame(out, at);
 }
 
@@ -271,7 +205,7 @@ FrameReader::next(bool* malformed)
     const uint8_t type = head[4];
     if (len > kMaxPayloadBytes ||
         type < static_cast<uint8_t>(MsgType::kRequestV2) ||
-        type > static_cast<uint8_t>(MsgType::kPromReply)) {
+        type > static_cast<uint8_t>(MsgType::kDumpReply)) {
         if (malformed != nullptr) *malformed = true;
         return std::nullopt;
     }

@@ -18,18 +18,13 @@
 ///   response2  := u64 request_id | u8 verdict | u8 reason | u64 cid
 ///                 | u64 server_queue_ns | u64 batch_wait_ns
 ///                 | u64 engine_ns | u64 link_ns | u64 conflict_cid
-///   stats      := (empty)
-///   statsreply := raw JSON bytes (a Registry snapshot)
-///   topk       := (empty)
-///   topkreply  := raw JSON bytes (the router's conflict top-K table)
+///   snapshot   := (empty)
+///   snapreply  := raw JSON bytes: {"metrics": <Registry snapshot>,
+///                 "monitor": <HealthMonitor status; {"enabled": false,
+///                 ...} when the server runs without a monitor>,
+///                 "topk": <the router's conflict top-K table>}
 ///   dump       := (empty)
 ///   dumpreply  := raw JSON bytes ({"ok": bool, "path"|"error": str})
-///   series     := (empty)
-///   seriesreply:= raw JSON bytes (HealthMonitor status: sampler rings
-///                 + SLO health verdicts; {"enabled": false, ...} when
-///                 the server runs without a monitor)
-///   prom       := (empty)
-///   promreply  := raw text bytes (Prometheus exposition format)
 ///
 /// Versioning: only the v2 request/response pair exists. Every peer is
 /// built from this repository, so the v1 frames (type bytes 1 and 2)
@@ -40,12 +35,12 @@
 /// breakdown (StageTimestamps) in the response, and the abort
 /// provenance field (conflict_cid — the committed transaction a
 /// kAbortCycle verdict collided with; core::kNoConflictCid when the
-/// abort names no commit). The introspection ops (kStats through
-/// kPromReply) are strictly opt-in request/reply pairs: a server only
-/// ever sends a reply type the peer just asked for; a server that
-/// predates an op treats it as an unknown type and closes the
-/// connection cleanly (the standard malformed-frame path), which the
-/// tooling reports as "not supported" rather than wedging.
+/// abort names no commit). The two control ops (kSnapshot, the one
+/// read-only operator view, and kDump, the one action) are strictly
+/// opt-in request/reply pairs: a server only ever sends a reply type
+/// the peer just asked for. The control types were renumbered when
+/// the per-section ops were folded into kSnapshot; the retired type
+/// bytes (9-14) take the unknown-type path like 1 and 2.
 ///
 /// deadline_ns is *relative* to server arrival (0 = none): processes on
 /// the same host share the monotonic clock, but a relative deadline
@@ -76,21 +71,15 @@
 namespace rococo::svc {
 
 /// Frame type tags. 1 and 2 (the retired v1 request/response) are
-/// unknown types, like anything above kPromReply.
+/// unknown types, like anything above kDumpReply.
 enum class MsgType : uint8_t
 {
-    kRequestV2 = 3,  ///< request + trace context
-    kResponseV2 = 4, ///< response + StageTimestamps
-    kStats = 5,      ///< metrics-snapshot request (empty payload)
-    kStatsReply = 6, ///< metrics-snapshot reply (raw JSON payload)
-    kTopK = 7,       ///< conflict top-K request (empty payload)
-    kTopKReply = 8,  ///< conflict top-K reply (raw JSON payload)
-    kDump = 9,       ///< flight-recorder dump request (empty payload)
-    kDumpReply = 10, ///< dump reply (raw JSON: ok + path or error)
-    kSeries = 11,    ///< time-series + health request (empty payload)
-    kSeriesReply = 12, ///< series reply (raw JSON: rings + verdicts)
-    kProm = 13,      ///< Prometheus exposition request (empty payload)
-    kPromReply = 14, ///< exposition reply (raw text payload)
+    kRequestV2 = 3,     ///< request + trace context
+    kResponseV2 = 4,    ///< response + StageTimestamps
+    kSnapshot = 5,      ///< operator-view request (empty payload)
+    kSnapshotReply = 6, ///< metrics + monitor + topk (raw JSON payload)
+    kDump = 7,          ///< flight-recorder dump request (empty payload)
+    kDumpReply = 8,     ///< dump reply (raw JSON: ok + path or error)
 };
 
 /// Fixed header preceding every payload.
@@ -159,35 +148,11 @@ void encode_request(std::vector<uint8_t>& out, const WireRequest& request);
 void encode_response(std::vector<uint8_t>& out,
                      const WireResponse& response);
 
-/// Append one encoded kStats frame (empty payload) to @p out.
-void encode_stats_request(std::vector<uint8_t>& out);
-
-/// Append one encoded kStatsReply frame carrying @p json to @p out.
-void encode_stats_reply(std::vector<uint8_t>& out, std::string_view json);
-
-/// Append one encoded kTopK frame (empty payload) to @p out.
-void encode_topk_request(std::vector<uint8_t>& out);
-
-/// Append one encoded kTopKReply frame carrying @p json to @p out.
-void encode_topk_reply(std::vector<uint8_t>& out, std::string_view json);
-
-/// Append one encoded kDump frame (empty payload) to @p out.
-void encode_dump_request(std::vector<uint8_t>& out);
-
-/// Append one encoded kDumpReply frame carrying @p json to @p out.
-void encode_dump_reply(std::vector<uint8_t>& out, std::string_view json);
-
-/// Append one encoded kSeries frame (empty payload) to @p out.
-void encode_series_request(std::vector<uint8_t>& out);
-
-/// Append one encoded kSeriesReply frame carrying @p json to @p out.
-void encode_series_reply(std::vector<uint8_t>& out, std::string_view json);
-
-/// Append one encoded kProm frame (empty payload) to @p out.
-void encode_prom_request(std::vector<uint8_t>& out);
-
-/// Append one encoded kPromReply frame carrying @p text to @p out.
-void encode_prom_reply(std::vector<uint8_t>& out, std::string_view text);
+/// Append one encoded control frame (kSnapshot, kSnapshotReply, kDump
+/// or kDumpReply) carrying @p payload to @p out. Requests carry an
+/// empty payload; replies carry raw JSON.
+void encode_control(std::vector<uint8_t>& out, MsgType type,
+                    std::string_view payload = {});
 
 /// Decode a request payload (the bytes after the frame header). Types
 /// other than kRequestV2 yield nullopt.

@@ -392,38 +392,49 @@ TEST(Pipeline, VerdictPastTheSpinBudgetArrivesThroughPark)
 
 TEST(Pipeline, StopResolvesSpinningWaitersWithRejection)
 {
-    ValidationPipeline pipeline;
+    // A round proves the contract only if stop() caught every waiter
+    // still queued. The waiters queue behind the backlog, so
+    // shutdown_aborts >= kWaiters means none of them reached the
+    // engine. A test thread descheduled long enough lets the worker
+    // drain the backlog first; such a round proves nothing and is
+    // rerun, up to kRounds times.
     constexpr uint64_t kBacklog = 16384;
-    auto backlog = submit_backlog(pipeline, kBacklog);
     constexpr int kWaiters = 4;
-    std::vector<core::ValidationResult> results(kWaiters);
-    std::vector<std::thread> waiters;
-    for (int t = 0; t < kWaiters; ++t) {
-        waiters.emplace_back([&, t] {
-            results[t] = pipeline.validate(
-                {{}, {uint64_t{1} << 40 | uint64_t(t)}, ~uint64_t{0} >> 1});
-        });
-    }
-    // Stop as soon as every waiter is queued: they are spinning (or just
-    // parked) at the back of a backlog the worker is far from draining.
-    while (pipeline.stats().get("submitted") < kBacklog + kWaiters) {
-        std::this_thread::yield();
-    }
-    pipeline.stop();
-    for (auto& waiter : waiters) waiter.join(); // none hangs
-    for (const auto& r : results) {
-        if (!spin_allowed() && r.verdict == core::Verdict::kCommit) {
-            // One CPU: the worker ran while this thread polled, and
-            // nothing spins there anyway.
-            continue;
+    constexpr int kRounds = 5;
+    bool qualified = false;
+    for (int round = 0; round < kRounds && !qualified; ++round) {
+        ValidationPipeline pipeline;
+        auto backlog = submit_backlog(pipeline, kBacklog);
+        std::vector<core::ValidationResult> results(kWaiters);
+        std::vector<std::thread> waiters;
+        for (int t = 0; t < kWaiters; ++t) {
+            waiters.emplace_back([&, t] {
+                results[t] = pipeline.validate(
+                    {{}, {uint64_t{1} << 40 | uint64_t(t)},
+                     ~uint64_t{0} >> 1});
+            });
         }
-        EXPECT_EQ(r.verdict, core::Verdict::kRejected);
-        EXPECT_EQ(r.reason, obs::AbortReason::kBackpressure);
+        // Stop as soon as every waiter is queued: they are spinning (or
+        // just parked) at the back of a backlog the worker is far from
+        // draining.
+        while (pipeline.stats().get("submitted") < kBacklog + kWaiters) {
+            std::this_thread::yield();
+        }
+        pipeline.stop();
+        for (auto& waiter : waiters) waiter.join(); // none hangs
+        for (auto& future : backlog) future.get();
+        const CounterBag bag = pipeline.stats();
+        EXPECT_EQ(bag.get("commit") + bag.get("shutdown_aborts"),
+                  bag.get("submitted"));
+        if (bag.get("shutdown_aborts") < uint64_t{kWaiters}) continue;
+        qualified = true;
+        for (const auto& r : results) {
+            EXPECT_EQ(r.verdict, core::Verdict::kRejected);
+            EXPECT_EQ(r.reason, obs::AbortReason::kBackpressure);
+        }
     }
-    for (auto& future : backlog) future.get();
-    const CounterBag bag = pipeline.stats();
-    EXPECT_EQ(bag.get("commit") + bag.get("shutdown_aborts"),
-              bag.get("submitted"));
+    EXPECT_TRUE(qualified) << "in " << kRounds << " rounds the worker "
+                           << "drained the backlog before stop() each time";
 }
 
 TEST(Pipeline, DeadlineShorterThanTheSpinBudgetIsHonoured)

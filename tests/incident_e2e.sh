@@ -9,11 +9,11 @@
 #   $4... = optional checker command (python3 check_trace_json.py);
 #           when given, every incident file must validate --incident.
 #
-# While the sweep runs: `svcctl top` must surface the planted hot set,
-# `svcctl dump` must write a manual incident and report its path, and
-# the abort-rate burn-rate SLO must walk the storm to critical —
-# observable as `svcctl monitor --once` turning its exit status
-# non-zero. The loadgen's own exit status then proves two more things:
+# While the sweep runs: `svcctl stats` must surface the planted hot
+# set in its topk section, `svcctl dump` must write a manual incident
+# and report its path, and the abort-rate burn-rate SLO must walk the
+# storm to critical — observable as `svcctl watch --once` turning its
+# exit status non-zero. The loadgen's own exit status then proves two more things:
 # the accounting ledger balanced AND the SLO actually dumped (it fails
 # when no "<prefix>-*.json" carries an "slo:" trigger).
 set -u
@@ -48,7 +48,7 @@ done
 # The hot set is the 8 keys [0,8): the top-K sketch must surface them
 # once the first conflicts land (poll — the sweep just started).
 tries=0
-until "$SVCCTL" --socket="$SOCK" top --json | grep -q '"key": [0-7]'; do
+until "$SVCCTL" --socket="$SOCK" stats | grep -q '"key": [0-7]'; do
     tries=$((tries + 1))
     if [ "$tries" -gt 100 ]; then
         echo "incident_e2e: top never surfaced the planted hot keys" >&2
@@ -56,18 +56,18 @@ until "$SVCCTL" --socket="$SOCK" top --json | grep -q '"key": [0-7]'; do
     fi
     sleep 0.05
 done
-"$SVCCTL" --socket="$SOCK" top | grep -q 'key' || {
-    echo "incident_e2e: top table form failed" >&2
+"$SVCCTL" --socket="$SOCK" stats --top | grep -q 'key' || {
+    echo "incident_e2e: stats --top table form failed" >&2
     exit 1
 }
 
 # The storm must drive the abort-rate SLO to critical: poll the
 # dashboard's scriptable form until its exit status goes non-zero.
 tries=0
-while "$SVCCTL" --socket="$SOCK" monitor --once > /dev/null 2>&1; do
+while "$SVCCTL" --socket="$SOCK" watch --once > /dev/null 2>&1; do
     tries=$((tries + 1))
     if [ "$tries" -gt 200 ]; then
-        echo "incident_e2e: monitor --once never reported critical" >&2
+        echo "incident_e2e: watch --once never reported critical" >&2
         exit 1
     fi
     sleep 0.05

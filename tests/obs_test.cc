@@ -233,6 +233,22 @@ TEST(Registry, MergesPerThreadRegistriesExactly)
     EXPECT_DOUBLE_EQ(merged.gauge("depth").max(), kThreads - 1.0);
 }
 
+TEST(Registry, MergeCreatesZeroValuedCounters)
+{
+    // A merged snapshot lists every counter the source defines: one
+    // that never moved must read as zero, not be missing.
+    Registry source;
+    source.counter("untouched");
+    source.bump("moved", 2);
+    Registry merged;
+    merged.merge(source);
+    std::ostringstream json;
+    merged.to_json(json);
+    EXPECT_NE(json.str().find("\"untouched\": 0"), std::string::npos)
+        << json.str();
+    EXPECT_EQ(merged.get("moved"), 2u);
+}
+
 TEST(Registry, CounterBagRoundTripSkipsZeros)
 {
     Registry registry;
@@ -249,7 +265,7 @@ TEST(Registry, CounterBagRoundTripSkipsZeros)
 
 TEST(Registry, ConcurrentExportWhileWritersActive)
 {
-    // The flight-recorder / kStats pattern: one thread repeatedly
+    // The flight-recorder / kSnapshot pattern: one thread repeatedly
     // exports (to_json + merge into a scratch registry) while writer
     // threads keep bumping counters, recording histograms and setting
     // gauges. Nothing to assert beyond "no crash, no torn registry" —

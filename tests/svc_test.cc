@@ -73,6 +73,38 @@ read_frame_of_type(int fd, MsgType want)
     }
 }
 
+/// Send one kSnapshot frame on @p fd and return the reply JSON;
+/// nullopt on EOF/error.
+std::optional<std::string>
+request_snapshot(int fd)
+{
+    std::vector<uint8_t> frame;
+    encode_control(frame, MsgType::kSnapshot);
+    if (send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(frame.size())) {
+        return std::nullopt;
+    }
+    auto payload = read_frame_of_type(fd, MsgType::kSnapshotReply);
+    if (!payload) return std::nullopt;
+    return std::string(payload->begin(), payload->end());
+}
+
+/// A payload-bearing control frame of @p type is malformed: the server
+/// must close the connection.
+void
+expect_payload_disconnects(const std::string& path, MsgType type)
+{
+    const int bad = connect_raw(path);
+    ASSERT_GE(bad, 0);
+    const uint8_t junk[kFrameHeaderBytes + 1] = {
+        1, 0, 0, 0, static_cast<uint8_t>(type), 0xcc};
+    ASSERT_EQ(send(bad, junk, sizeof(junk), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(junk)));
+    uint8_t buf[16];
+    EXPECT_EQ(recv(bad, buf, sizeof(buf), 0), 0) << "not disconnected";
+    close(bad);
+}
+
 // ---------------------------------------------------------------------
 // Wire protocol
 
@@ -393,9 +425,10 @@ TEST(SvcClient, ReceivesConflictProvenanceOverTheWire)
     EXPECT_EQ(server.stats().get("svc.verdict.abort-cycle"), 1u);
 }
 
-/// kTopK is answered inline from the service thread — never queued,
-/// never an engine pass — and returns the per-shard hot-key table that
-/// the abort above fed. A kTopK frame with a payload is malformed.
+/// kSnapshot is answered inline from the service thread — never
+/// queued, never an engine pass — and its "topk" section carries the
+/// per-shard hot-key table that the abort below fed. A kSnapshot frame
+/// with a payload is malformed.
 TEST(SvcServer, AnswersTopKInline)
 {
     ServerConfig config;
@@ -416,35 +449,19 @@ TEST(SvcServer, AnswersTopKInline)
 
     const int fd = connect_raw(config.socket_path);
     ASSERT_GE(fd, 0);
-    std::vector<uint8_t> frame;
-    encode_topk_request(frame);
-    ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(frame.size()));
-    auto payload = read_frame_of_type(fd, MsgType::kTopKReply);
-    ASSERT_TRUE(payload.has_value()) << "no kTopKReply frame";
-    const std::string json(payload->begin(), payload->end());
-    EXPECT_NE(json.find("\"shards\""), std::string::npos) << json;
+    const auto json = request_snapshot(fd);
+    ASSERT_TRUE(json.has_value()) << "no kSnapshotReply frame";
+    const size_t topk = json->find("\n\"topk\": {\"shards\"");
+    ASSERT_NE(topk, std::string::npos) << *json;
 #ifndef ROCOCO_FORENSICS_OFF
-    EXPECT_NE(json.find("\"key\": 1"), std::string::npos) << json;
+    EXPECT_NE(json->find("\"key\": 1", topk), std::string::npos) << *json;
 #endif
     close(fd);
 
-    // Payload-bearing kTopK: malformed, disconnect.
-    {
-        const int bad = connect_raw(config.socket_path);
-        ASSERT_GE(bad, 0);
-        const uint8_t junk[kFrameHeaderBytes + 1] = {
-            1, 0, 0, 0, static_cast<uint8_t>(MsgType::kTopK), 0xcc};
-        ASSERT_EQ(send(bad, junk, sizeof(junk), MSG_NOSIGNAL),
-                  static_cast<ssize_t>(sizeof(junk)));
-        uint8_t buf[16];
-        EXPECT_EQ(recv(bad, buf, sizeof(buf), 0), 0)
-            << "not disconnected";
-        close(bad);
-    }
+    expect_payload_disconnects(config.socket_path, MsgType::kSnapshot);
 
     server.stop();
-    EXPECT_EQ(server.stats().get("svc.topk"), 1u);
+    EXPECT_EQ(server.stats().get("svc.snapshot"), 1u);
     EXPECT_EQ(server.stats().get("svc.malformed"), 1u);
     // Introspection sits outside the request ledger.
     EXPECT_EQ(server.stats().get("svc.requests"), 2u);
@@ -465,7 +482,7 @@ TEST(SvcServer, DumpAnswersInlineAndWritesIncidents)
         const int fd = connect_raw(config.socket_path);
         ASSERT_GE(fd, 0);
         std::vector<uint8_t> frame;
-        encode_dump_request(frame);
+        encode_control(frame, MsgType::kDump);
         ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
                   static_cast<ssize_t>(frame.size()));
         auto payload = read_frame_of_type(fd, MsgType::kDumpReply);
@@ -492,7 +509,7 @@ TEST(SvcServer, DumpAnswersInlineAndWritesIncidents)
         const int fd = connect_raw(config.socket_path);
         ASSERT_GE(fd, 0);
         std::vector<uint8_t> frame;
-        encode_dump_request(frame);
+        encode_control(frame, MsgType::kDump);
         ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
                   static_cast<ssize_t>(frame.size()));
         auto payload = read_frame_of_type(fd, MsgType::kDumpReply);
@@ -684,12 +701,12 @@ TEST(SvcServer, DisconnectsUnknownOps)
     Server server(config);
     ASSERT_TRUE(server.start());
 
-    // A frame type outside the protocol entirely (15, one past
-    // kPromReply): flagged by the frame reader itself.
+    // A frame type outside the protocol entirely (9, one past
+    // kDumpReply): flagged by the frame reader itself.
     {
         const int fd = connect_raw(config.socket_path);
         ASSERT_GE(fd, 0);
-        const uint8_t unknown[kFrameHeaderBytes] = {0, 0, 0, 0, 15};
+        const uint8_t unknown[kFrameHeaderBytes] = {0, 0, 0, 0, 9};
         ASSERT_EQ(send(fd, unknown, sizeof(unknown), MSG_NOSIGNAL),
                   static_cast<ssize_t>(sizeof(unknown)));
         uint8_t buf[16];
@@ -1240,9 +1257,9 @@ TEST(SvcSmoke, ConcurrentClientsAccountingSums)
 }
 
 // ---------------------------------------------------------------------
-// Introspection (kStats) and stage attribution
+// Control op (kSnapshot) and stage attribution
 
-/// kStats must be answered inline — no engine pass, not queued, not
+/// kSnapshot must be answered inline — no engine pass, not queued, not
 /// counted as a request — even while the pending queue is saturated
 /// with a slow-draining backlog, and it must not perturb the
 /// accounting invariant.
@@ -1305,18 +1322,12 @@ TEST(SvcStats, SnapshotSucceedsUnderSaturatedQueueWithoutPerturbation)
     // still queued.
     const int stats_fd = connect_raw(config.socket_path);
     ASSERT_GE(stats_fd, 0);
-    std::vector<uint8_t> stats_frame;
-    encode_stats_request(stats_frame);
-    ASSERT_EQ(send(stats_fd, stats_frame.data(), stats_frame.size(),
-                   MSG_NOSIGNAL),
-              static_cast<ssize_t>(stats_frame.size()));
-    auto payload = read_frame_of_type(stats_fd, MsgType::kStatsReply);
-    ASSERT_TRUE(payload.has_value()) << "no stats reply under load";
-    const std::string json(payload->begin(), payload->end());
-    EXPECT_NE(json.find("\"svc.requests\""), std::string::npos);
-    EXPECT_NE(json.find("\"svc.queue_depth\""), std::string::npos);
-    EXPECT_NE(json.find("\"svc.window_occupancy\""), std::string::npos);
-    EXPECT_NE(json.find("\"svc.stats\""), std::string::npos);
+    const auto json = request_snapshot(stats_fd);
+    ASSERT_TRUE(json.has_value()) << "no snapshot reply under load";
+    EXPECT_NE(json->find("\"svc.requests\""), std::string::npos);
+    EXPECT_NE(json->find("\"svc.queue_depth\""), std::string::npos);
+    EXPECT_NE(json->find("\"svc.window_occupancy\""), std::string::npos);
+    EXPECT_NE(json->find("\"svc.snapshot\""), std::string::npos);
 
     // The snapshot was served mid-flood, and the flood really builds a
     // backlog: while the flooder keeps pumping, the server must be
@@ -1357,10 +1368,10 @@ TEST(SvcStats, SnapshotSucceedsUnderSaturatedQueueWithoutPerturbation)
     close(flood_fd);
     server.stop();
 
-    // Stats ops never enter the request accounting — the invariant
-    // holds exactly, and the poll is visible only under svc.stats.
+    // Snapshot ops never enter the request accounting — the invariant
+    // holds exactly, and the poll is visible only under svc.snapshot.
     const CounterBag stats = server.stats();
-    EXPECT_EQ(stats.get("svc.stats"), 1u);
+    EXPECT_EQ(stats.get("svc.snapshot"), 1u);
     EXPECT_EQ(stats.get("svc.requests"), total_flooded);
     const uint64_t accounted = stats.get("svc.verdict.commit") +
                                stats.get("svc.verdict.abort-cycle") +
@@ -1370,19 +1381,19 @@ TEST(SvcStats, SnapshotSucceedsUnderSaturatedQueueWithoutPerturbation)
     EXPECT_EQ(accounted, stats.get("svc.requests"));
 }
 
-/// kSeries and kProm follow the same inline introspection contract as
-/// kStats: answered from read_client() without an engine pass, counted
-/// under their own counters, never in svc.requests. The kSeries reply
-/// carries the monitor's rings + health verdicts; kProm carries the
-/// Prometheus text exposition of a fresh registry snapshot.
-TEST(SvcServer, AnswersSeriesAndPromInline)
+/// One kSnapshot reply carries the three operator sections: the
+/// service + shard metrics, the monitor's rings + health verdicts and
+/// the conflict top-K table. It is answered from read_client() without
+/// an engine pass, counted under svc.snapshot, never in svc.requests.
+TEST(SvcServer, AnswersSnapshotInline)
 {
     ServerConfig config;
-    config.socket_path = test_socket_path("series");
+    config.socket_path = test_socket_path("snapshot");
+    config.shards = 2;
     Server server(config);
     ASSERT_TRUE(server.start());
 
-    // Some traffic so the exposition has non-trivial counters.
+    // Some traffic so the metrics section has non-trivial counters.
     ClientConfig client_config;
     client_config.socket_path = config.socket_path;
     ValidationClient client(client_config);
@@ -1395,69 +1406,75 @@ TEST(SvcServer, AnswersSeriesAndPromInline)
 
     const int fd = connect_raw(config.socket_path);
     ASSERT_GE(fd, 0);
-    {
-        std::vector<uint8_t> frame;
-        encode_series_request(frame);
-        ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
-                  static_cast<ssize_t>(frame.size()));
-        auto payload = read_frame_of_type(fd, MsgType::kSeriesReply);
-        ASSERT_TRUE(payload.has_value()) << "no kSeriesReply frame";
-        const std::string json(payload->begin(), payload->end());
-        EXPECT_NE(json.find("\"enabled\": true"), std::string::npos)
-            << json;
-        EXPECT_NE(json.find("\"svc.requests\""), std::string::npos);
-        EXPECT_NE(json.find("\"svc.abort_rate\""), std::string::npos);
-        EXPECT_NE(json.find("\"abort-rate\""), std::string::npos)
-            << "default SLO rule missing: " << json;
-        EXPECT_NE(json.find("\"state\": \"ok\""), std::string::npos);
-    }
-    {
-        std::vector<uint8_t> frame;
-        encode_prom_request(frame);
-        ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
-                  static_cast<ssize_t>(frame.size()));
-        auto payload = read_frame_of_type(fd, MsgType::kPromReply);
-        ASSERT_TRUE(payload.has_value()) << "no kPromReply frame";
-        const std::string text(payload->begin(), payload->end());
-        EXPECT_NE(text.find("# TYPE svc_requests_total counter"),
-                  std::string::npos)
-            << text;
-        EXPECT_NE(text.find("svc_requests_total 8"), std::string::npos)
-            << text;
-        // Histograms ship as summaries with exact min/max companions.
-        EXPECT_NE(text.find("svc_rpc_ns{quantile=\"0.99\"}"),
-                  std::string::npos)
-            << text;
-        EXPECT_NE(text.find("svc_rpc_ns_min"), std::string::npos);
-    }
+    const auto json = request_snapshot(fd);
+    ASSERT_TRUE(json.has_value()) << "no kSnapshotReply frame";
     close(fd);
+    const size_t monitor = json->find(",\n\"monitor\": {");
+    const size_t topk = json->find(",\n\"topk\": {");
+    ASSERT_EQ(json->rfind("{\"metrics\": {", 0), 0u) << *json;
+    ASSERT_NE(monitor, std::string::npos) << *json;
+    ASSERT_NE(topk, std::string::npos) << *json;
+    ASSERT_LT(monitor, topk);
+    const std::string metrics = json->substr(0, monitor);
+    const std::string health = json->substr(monitor, topk - monitor);
+    // metrics: the service ledger next to the shard metrics.
+    EXPECT_NE(metrics.find("\"svc.requests\": 8"), std::string::npos)
+        << metrics;
+    EXPECT_NE(metrics.find("\"svc.rpc_ns\": {\"count\": 8"),
+              std::string::npos)
+        << metrics;
+    EXPECT_NE(metrics.find("\"shard.1.validations\""), std::string::npos);
+    // monitor: the default-on sampler and SLO rules.
+    EXPECT_NE(health.find("\"enabled\": true"), std::string::npos)
+        << health;
+    EXPECT_NE(health.find("\"svc.requests\""), std::string::npos);
+    EXPECT_NE(health.find("\"svc.abort_rate\""), std::string::npos);
+    EXPECT_NE(health.find("\"abort-rate\""), std::string::npos)
+        << "default SLO rule missing: " << health;
+    EXPECT_NE(health.find("\"state\": \"ok\""), std::string::npos);
+    // topk: one table per shard.
+    EXPECT_NE(json->find("\"shard\": 1", topk), std::string::npos);
 
-    // Payload-bearing kSeries: malformed, disconnect.
-    {
-        const int bad = connect_raw(config.socket_path);
-        ASSERT_GE(bad, 0);
-        const uint8_t junk[kFrameHeaderBytes + 1] = {
-            1, 0, 0, 0, static_cast<uint8_t>(MsgType::kSeries), 0xcc};
-        ASSERT_EQ(send(bad, junk, sizeof(junk), MSG_NOSIGNAL),
-                  static_cast<ssize_t>(sizeof(junk)));
-        uint8_t buf[16];
-        EXPECT_EQ(recv(bad, buf, sizeof(buf), 0), 0)
-            << "not disconnected";
-        close(bad);
-    }
+    expect_payload_disconnects(config.socket_path, MsgType::kSnapshot);
 
     server.stop();
-    EXPECT_EQ(server.stats().get("svc.series"), 1u);
-    EXPECT_EQ(server.stats().get("svc.prom"), 1u);
+    EXPECT_EQ(server.stats().get("svc.snapshot"), 1u);
     EXPECT_EQ(server.stats().get("svc.malformed"), 1u);
-    // Introspection sits outside the request ledger.
+    // Control ops sit outside the request ledger.
     EXPECT_EQ(server.stats().get("svc.requests"), 8u);
 }
 
-/// A server running without a monitor still answers kSeries — with an
-/// explicit "enabled": false and no series, so pollers (svcctl watch,
-/// svcctl monitor) show '-' columns instead of misreading an empty
-/// ring as idleness.
+/// A server that has answered no request still lists every service
+/// counter in its snapshot, at zero: a merged registry keeps the
+/// counters that never moved, so a poller can tell "zero" from "absent".
+TEST(SvcServer, FreshServerSnapshotListsZeroCounters)
+{
+    ServerConfig config;
+    config.socket_path = test_socket_path("fresh");
+    Server server(config);
+    ASSERT_TRUE(server.start());
+    const int fd = connect_raw(config.socket_path);
+    ASSERT_GE(fd, 0);
+    const auto json = request_snapshot(fd);
+    ASSERT_TRUE(json.has_value()) << "no kSnapshotReply frame";
+    close(fd);
+    server.stop();
+    EXPECT_NE(json->find("\"svc.requests\": 0"), std::string::npos)
+        << *json;
+    EXPECT_NE(json->find("\"svc.timeout\": 0"), std::string::npos);
+    EXPECT_NE(json->find("\"svc.rejected\": 0"), std::string::npos);
+    for (size_t v = 0; v < core::kVerdictCount; ++v) {
+        const std::string key =
+            std::string("\"svc.verdict.") +
+            core::to_string(static_cast<core::Verdict>(v)) + "\": 0";
+        EXPECT_NE(json->find(key), std::string::npos) << key;
+    }
+}
+
+/// A server running without a monitor still answers kSnapshot — its
+/// "monitor" section is an explicit "enabled": false with no series, so
+/// svcctl watch shows no series instead of misreading an empty ring as
+/// idleness.
 TEST(SvcServer, SeriesReportsMonitorDisabled)
 {
     ServerConfig config;
@@ -1468,22 +1485,18 @@ TEST(SvcServer, SeriesReportsMonitorDisabled)
 
     const int fd = connect_raw(config.socket_path);
     ASSERT_GE(fd, 0);
-    std::vector<uint8_t> frame;
-    encode_series_request(frame);
-    ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(frame.size()));
-    auto payload = read_frame_of_type(fd, MsgType::kSeriesReply);
-    ASSERT_TRUE(payload.has_value()) << "no kSeriesReply frame";
-    const std::string json(payload->begin(), payload->end());
-    EXPECT_NE(json.find("\"enabled\": false"), std::string::npos)
-        << json;
+    const auto json = request_snapshot(fd);
+    ASSERT_TRUE(json.has_value()) << "no kSnapshotReply frame";
+    EXPECT_NE(json->find("\"monitor\": {\"enabled\": false"),
+              std::string::npos)
+        << *json;
     close(fd);
     server.stop();
 }
 
-/// A kSeries flood — hundreds of polls interleaved with real traffic —
-/// must leave the accounting invariant untouched: introspection never
-/// enters svc.requests, and every real request still gets exactly one
+/// A kSnapshot flood — hundreds of polls interleaved with real traffic
+/// — must leave the accounting invariant untouched: control ops never
+/// enter svc.requests, and every real request still gets exactly one
 /// verdict.
 TEST(SvcStats, SeriesFloodDoesNotPerturbAccounting)
 {
@@ -1499,21 +1512,13 @@ TEST(SvcStats, SeriesFloodDoesNotPerturbAccounting)
 
     const int poll_fd = connect_raw(config.socket_path);
     ASSERT_GE(poll_fd, 0);
-    std::vector<uint8_t> poll_frame;
-    encode_series_request(poll_frame);
 
     constexpr uint64_t kPolls = 200;
     constexpr uint64_t kRequests = 200;
     std::atomic<bool> poller_ok{true};
     std::thread poller([&] {
         for (uint64_t i = 0; i < kPolls; ++i) {
-            if (send(poll_fd, poll_frame.data(), poll_frame.size(),
-                     MSG_NOSIGNAL) !=
-                static_cast<ssize_t>(poll_frame.size())) {
-                poller_ok = false;
-                return;
-            }
-            if (!read_frame_of_type(poll_fd, MsgType::kSeriesReply)) {
+            if (!request_snapshot(poll_fd)) {
                 poller_ok = false;
                 return;
             }
@@ -1524,13 +1529,13 @@ TEST(SvcStats, SeriesFloodDoesNotPerturbAccounting)
         ASSERT_EQ(result.verdict, core::Verdict::kCommit);
     }
     poller.join();
-    EXPECT_TRUE(poller_ok) << "kSeries poll failed mid-flood";
+    EXPECT_TRUE(poller_ok) << "kSnapshot poll failed mid-flood";
     close(poll_fd);
     client.stop();
     server.stop();
 
     const CounterBag stats = server.stats();
-    EXPECT_EQ(stats.get("svc.series"), kPolls);
+    EXPECT_EQ(stats.get("svc.snapshot"), kPolls);
     EXPECT_EQ(stats.get("svc.requests"), kRequests);
     const uint64_t accounted = stats.get("svc.verdict.commit") +
                                stats.get("svc.verdict.abort-cycle") +

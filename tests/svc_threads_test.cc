@@ -1,7 +1,7 @@
 /// Stress tests for the validation server under concurrency: client
 /// threads racing the one service thread with overlapping single- and
-/// cross-shard footprints, introspection floods (kStats / kSeries)
-/// racing live validation traffic, and restart cycles. Each test
+/// cross-shard footprints, kSnapshot floods racing live validation
+/// traffic, and restart cycles. Each test
 /// re-proves the service accounting invariant
 ///   svc.requests == sum(svc.verdict.*) + svc.timeout + svc.rejected.
 /// These are the tests the TSan preset leans on: every handoff between
@@ -194,28 +194,22 @@ TEST(SvcThreads, StatsAndSeriesFloodDuringWorkerTraffic)
 
     const int fd = connect_raw(config.socket_path);
     ASSERT_GE(fd, 0);
+    std::vector<uint8_t> frame;
+    encode_control(frame, MsgType::kSnapshot);
     for (int round = 0; round < 50; ++round) {
-        std::vector<uint8_t> frame;
-        if (round % 2 == 0) {
-            encode_stats_request(frame);
-        } else {
-            encode_series_request(frame);
-        }
         ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
                   static_cast<ssize_t>(frame.size()));
-        const MsgType want = round % 2 == 0 ? MsgType::kStatsReply
-                                            : MsgType::kSeriesReply;
-        auto payload = read_frame_of_type(fd, want);
+        auto payload = read_frame_of_type(fd, MsgType::kSnapshotReply);
         ASSERT_TRUE(payload.has_value())
-            << "no introspection reply in round " << round;
-        if (round % 2 == 0) {
-            const std::string json(payload->begin(), payload->end());
-            // Live gauges are refreshed right before the snapshot and
-            // always merge into it, traffic or not.
-            EXPECT_NE(json.find("\"svc.queue_depth\""), std::string::npos);
-            EXPECT_NE(json.find("\"svc.window_occupancy\""),
-                      std::string::npos);
-        }
+            << "no snapshot reply in round " << round;
+        const std::string json(payload->begin(), payload->end());
+        // Live gauges are refreshed right before the snapshot and
+        // always merge into it, traffic or not; the monitor section
+        // rides along in the same reply.
+        EXPECT_NE(json.find("\"svc.queue_depth\""), std::string::npos);
+        EXPECT_NE(json.find("\"svc.window_occupancy\""), std::string::npos);
+        EXPECT_NE(json.find("\"monitor\": {\"enabled\": true"),
+                  std::string::npos);
     }
     close(fd);
 

@@ -5,9 +5,9 @@
 #
 # svc_loadgen runs a single long (clients=2, batch=8) cell in the
 # background; while its clients are pumping requests we hit the server
-# with every svcctl command. The loadgen's own exit status is the
+# with every svcctl command and section flag. The loadgen's own exit status is the
 # accounting check — it verifies svc.requests == sum(answers) after the
-# sweep and exits 1 on imbalance, so a stats op that perturbed the
+# sweep and exits 1 on imbalance, so a snapshot op that perturbed the
 # ledger fails this test.
 set -u
 
@@ -31,57 +31,53 @@ while [ ! -S "$SOCK" ]; do
     sleep 0.05
 done
 
+# Every check reads the one kSnapshot reply: raw, or one section of it
+# formatted.
 "$SVCCTL" --socket="$SOCK" stats | grep -q '"svc.requests"' || {
     echo "svcctl_e2e: stats lacks svc.requests" >&2
     exit 1
 }
-"$SVCCTL" --socket="$SOCK" hist svc.batch_size | grep -q '"count"' || {
-    echo "svcctl_e2e: hist svc.batch_size failed" >&2
+"$SVCCTL" --socket="$SOCK" stats | grep -q '"monitor": {"enabled": true' || {
+    echo "svcctl_e2e: stats lacks an enabled monitor" >&2
+    exit 1
+}
+"$SVCCTL" --socket="$SOCK" stats | grep -q '"svc.abort_rate"' || {
+    echo "svcctl_e2e: stats lacks the svc.abort_rate ring" >&2
+    exit 1
+}
+"$SVCCTL" --socket="$SOCK" stats --hist svc.batch_size | grep -q '"count"' || {
+    echo "svcctl_e2e: stats --hist svc.batch_size failed" >&2
     exit 1
 }
 "$SVCCTL" --socket="$SOCK" watch --interval-ms=50 --count=3 \
-    | grep -q 'req/s' || {
-    echo "svcctl_e2e: watch produced no samples" >&2
-    exit 1
-}
-
-# Continuous-monitoring ops against the default-on health monitor.
-"$SVCCTL" --socket="$SOCK" series | grep -q '"enabled": true' || {
-    echo "svcctl_e2e: series lacks an enabled monitor" >&2
-    exit 1
-}
-"$SVCCTL" --socket="$SOCK" series | grep -q '"svc.abort_rate"' || {
-    echo "svcctl_e2e: series lacks the svc.abort_rate ring" >&2
-    exit 1
-}
-"$SVCCTL" --socket="$SOCK" prom | grep -q '# TYPE svc_requests_total counter' || {
-    echo "svcctl_e2e: prom exposition lacks svc_requests_total" >&2
+    | grep -c 'health:' | grep -q '^3$' || {
+    echo "svcctl_e2e: watch did not print 3 frames" >&2
     exit 1
 }
 # Conflict-free workload: the dashboard's scriptable form must report
 # health and exit 0 (it exits 3 on critical).
-MONITOR_OUT=$("$SVCCTL" --socket="$SOCK" monitor --once) || {
-    echo "svcctl_e2e: monitor --once exited non-zero on a healthy server" >&2
+WATCH_OUT=$("$SVCCTL" --socket="$SOCK" watch --once) || {
+    echo "svcctl_e2e: watch --once exited non-zero on a healthy server" >&2
     exit 1
 }
-echo "$MONITOR_OUT" | grep -q 'health:' || {
-    echo "svcctl_e2e: monitor output lacks the health banner" >&2
+echo "$WATCH_OUT" | grep -q 'health:' || {
+    echo "svcctl_e2e: watch output lacks the health banner" >&2
     exit 1
 }
-echo "$MONITOR_OUT" | grep -q 'abort-rate' || {
-    echo "svcctl_e2e: monitor output lacks the abort-rate rule row" >&2
+echo "$WATCH_OUT" | grep -q 'abort-rate' || {
+    echo "svcctl_e2e: watch output lacks the abort-rate rule row" >&2
     exit 1
 }
 
-# Forensics ops answer inline under load. This workload is
-# conflict-free, so top must succeed with the table header either way;
-# the raw JSON form must carry the fixed shards shape.
-"$SVCCTL" --socket="$SOCK" top > /dev/null || {
-    echo "svcctl_e2e: top failed against a live server" >&2
+# Forensics answer inline under load. This workload is conflict-free,
+# so the top section must print the table header either way, and the
+# raw reply must carry the fixed shards shape.
+"$SVCCTL" --socket="$SOCK" stats --top | grep -q 'key' || {
+    echo "svcctl_e2e: stats --top failed against a live server" >&2
     exit 1
 }
-"$SVCCTL" --socket="$SOCK" top --json | grep -q '"shards"' || {
-    echo "svcctl_e2e: top --json lacks shards" >&2
+"$SVCCTL" --socket="$SOCK" stats | grep -q '"topk": {"shards"' || {
+    echo "svcctl_e2e: stats lacks the topk shards table" >&2
     exit 1
 }
 # This server runs without a flight recorder: dump must fail loudly
@@ -96,8 +92,8 @@ if "$SVCCTL" --socket="$SOCK" dump > /dev/null 2>&1; then
 fi
 
 # Unknown histogram and usage errors must fail loudly, not silently.
-if "$SVCCTL" --socket="$SOCK" hist no.such.histogram 2>/dev/null; then
-    echo "svcctl_e2e: hist accepted an unknown name" >&2
+if "$SVCCTL" --socket="$SOCK" stats --hist=no.such.histogram 2>/dev/null; then
+    echo "svcctl_e2e: stats --hist accepted an unknown name" >&2
     exit 1
 fi
 if "$SVCCTL" frobnicate 2>/dev/null; then

@@ -7,9 +7,9 @@
 #
 # Sequence: server A comes up (a background svc_loadgen run) -> watch
 # starts sampling -> A is killed mid-watch -> server B comes up on the
-# same socket path (sharded, so the shards command can be checked on
-# the survivor) -> watch must log a reconnect and still exit 0 with
-# all requested samples delivered.
+# same socket path (sharded, so `stats --shards` can be checked on the
+# survivor) -> watch must log a reconnect and still exit 0 with all
+# requested frames delivered.
 set -u
 
 LOADGEN="$1"
@@ -45,7 +45,7 @@ wait_for_socket() {
 LOADGEN_A_PID=$!
 wait_for_socket
 
-# Watch for 8 samples at 50 ms; capture stderr for the reconnect log.
+# Watch for 8 frames at 50 ms; capture stderr for the reconnect log.
 # Create the output file first: the background job's redirection may
 # not have run yet when the sample poll below reads it.
 : > "$OUT"
@@ -53,10 +53,10 @@ wait_for_socket
     > "$OUT" 2> "$ERR" &
 WATCH_PID=$!
 
-# Let it deliver at least one sample (header + 1 data line) before the
-# restart, so the reconnect happens mid-stream.
+# Let it deliver at least one frame (each opens with its health banner)
+# before the restart, so the reconnect happens mid-stream.
 tries=0
-while [ "$(wc -l < "$OUT")" -lt 2 ]; do
+while [ "$(grep -c 'health:' "$OUT")" -lt 1 ]; do
     tries=$((tries + 1))
     if [ "$tries" -gt 200 ]; then
         echo "watch_reconnect: watch produced no samples" >&2
@@ -70,13 +70,13 @@ kill "$LOADGEN_A_PID" 2>/dev/null
 wait "$LOADGEN_A_PID" 2>/dev/null
 rm -f "$SOCK"
 
-# Server B — sharded, so the shards command is checked on the survivor.
+# Server B — sharded, so `stats --shards` is checked on the survivor.
 "$LOADGEN" --clients=1 --batch=8 --shards=2 --requests=500000 \
     --socket="$SOCK" > /dev/null 2>&1 &
 LOADGEN_B_PID=$!
 wait_for_socket
 
-# The watch must come back on its own and finish all 8 samples.
+# The watch must come back on its own and finish all 8 frames.
 wait "$WATCH_PID"
 watch_status=$?
 WATCH_PID=""
@@ -90,16 +90,16 @@ if ! grep -q 'reconnecting' "$ERR"; then
     cat "$ERR" >&2
     exit 1
 fi
-samples=$(grep -c '[0-9]' "$OUT")
-if [ "$samples" -lt 8 ]; then
-    echo "watch_reconnect: only $samples of 8 samples delivered" >&2
+frames=$(grep -c 'health:' "$OUT")
+if [ "$frames" -lt 8 ]; then
+    echo "watch_reconnect: only $frames of 8 frames delivered" >&2
     cat "$OUT" >&2
     exit 1
 fi
 
 # Per-shard introspection against the sharded survivor.
-"$SVCCTL" --socket="$SOCK" shards | grep -q 'cross-shard:' || {
-    echo "watch_reconnect: shards command failed on sharded server" >&2
+"$SVCCTL" --socket="$SOCK" stats --shards | grep -q 'cross-shard:' || {
+    echo "watch_reconnect: stats --shards failed on sharded server" >&2
     exit 1
 }
 

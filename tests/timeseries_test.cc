@@ -562,8 +562,6 @@ TEST(HealthMonitor, ConcurrentTicksExportsAndReadersAreSafe)
     });
     std::thread exporter([&] {
         while (!stop.load(std::memory_order_relaxed)) {
-            std::ostringstream out;
-            registry.export_prom(out);
             std::ostringstream json;
             registry.to_json(json);
         }

@@ -97,7 +97,7 @@ TEST(TopK, ZipfStreamSurfacesTheHotSet)
 {
     // Zipf(1.2) over 4096 keys: the head is hot enough that the true
     // top-4 must be present AND lead the snapshot ordering — the
-    // property `svcctl top` depends on.
+    // property `svcctl stats --top` depends on.
     TopK sketch;
     Xoshiro256 rng(3);
     std::vector<double> cdf(4096);

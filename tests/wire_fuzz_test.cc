@@ -59,30 +59,15 @@ valid_frames()
     frames.emplace_back();
     encode_response(frames.back(), response);
     frames.emplace_back();
-    encode_stats_request(frames.back());
+    encode_control(frames.back(), MsgType::kSnapshot);
     frames.emplace_back();
-    encode_stats_reply(frames.back(), "{\"counters\":{}}");
+    encode_control(frames.back(), MsgType::kSnapshotReply,
+                   "{\"metrics\": {\"counters\": {}},\n\"monitor\": "
+                   "{\"enabled\": false},\n\"topk\": {\"shards\": []}}");
     frames.emplace_back();
-    encode_topk_request(frames.back());
+    encode_control(frames.back(), MsgType::kDump);
     frames.emplace_back();
-    encode_topk_reply(frames.back(), "{\"shards\": []}");
-    frames.emplace_back();
-    encode_dump_request(frames.back());
-    frames.emplace_back();
-    encode_dump_reply(frames.back(), "{\"ok\": false}");
-    frames.emplace_back();
-    encode_series_request(frames.back());
-    frames.emplace_back();
-    encode_series_reply(frames.back(),
-                        "{\"enabled\": true, \"health\": {\"state\": "
-                        "\"ok\", \"rules\": []}, \"samples\": "
-                        "{\"series\": []}}");
-    frames.emplace_back();
-    encode_prom_request(frames.back());
-    frames.emplace_back();
-    encode_prom_reply(frames.back(),
-                      "# TYPE svc_requests_total counter\n"
-                      "svc_requests_total 7\n");
+    encode_control(frames.back(), MsgType::kDumpReply, "{\"ok\": false}");
     return frames;
 }
 
@@ -121,17 +106,11 @@ drain(FrameReader& reader, size_t fed_bytes)
             (void)decode_response(frame->type, frame->payload,
                                   frame->size);
             break;
-        case MsgType::kStats:
-        case MsgType::kStatsReply:
-        case MsgType::kTopK:
-        case MsgType::kTopKReply:
+        case MsgType::kSnapshot:
+        case MsgType::kSnapshotReply:
         case MsgType::kDump:
         case MsgType::kDumpReply:
-        case MsgType::kSeries:
-        case MsgType::kSeriesReply:
-        case MsgType::kProm:
-        case MsgType::kPromReply:
-            break; // empty / raw text payloads; nothing to decode
+            break; // empty / raw JSON payloads; nothing to decode
         }
     }
 }
@@ -158,6 +137,17 @@ TEST(WireFuzz, BitFlipsEndCleanOrBoundedDecode)
 {
     Xoshiro256 rng(2026);
     for (const auto& frame : valid_frames()) {
+        // Retagged with a retired type byte (v1's 1-2, the per-section
+        // control ops' 9-14), a valid frame is an unknown type.
+        for (const uint8_t type : {1, 2, 9, 10, 11, 12, 13, 14}) {
+            auto retagged = frame;
+            retagged[4] = type;
+            FrameReader reader;
+            reader.append(retagged.data(), retagged.size());
+            bool malformed = false;
+            EXPECT_FALSE(reader.next(&malformed).has_value());
+            EXPECT_TRUE(malformed) << "type byte " << int(type);
+        }
         for (int trial = 0; trial < 200; ++trial) {
             auto mutated = frame;
             // One to three seeded single-bit flips anywhere in the
@@ -235,15 +225,15 @@ send_all(int fd, const std::vector<uint8_t>& bytes)
     return true;
 }
 
-/// True when the server answers a clean kStats round trip — the
+/// True when the server answers a clean kSnapshot round trip — the
 /// liveness probe run between and after the mutation volleys.
 bool
-server_answers_stats(const std::string& path)
+server_answers_snapshot(const std::string& path)
 {
     const int fd = connect_raw(path);
     if (fd < 0) return false;
     std::vector<uint8_t> frame;
-    encode_stats_request(frame);
+    encode_control(frame, MsgType::kSnapshot);
     if (!send_all(fd, frame)) {
         close(fd);
         return false;
@@ -260,7 +250,7 @@ server_answers_stats(const std::string& path)
         reader.append(buf, size_t(n));
         bool malformed = false;
         while (auto got = reader.next(&malformed)) {
-            if (got->type == MsgType::kStatsReply) {
+            if (got->type == MsgType::kSnapshotReply) {
                 close(fd);
                 return true;
             }
@@ -310,13 +300,13 @@ TEST(WireFuzz, ServerSurvivesMutatedFrames)
         }
         close(fd);
         if (trial % 30 == 0) {
-            ASSERT_TRUE(server_answers_stats(config.socket_path))
+            ASSERT_TRUE(server_answers_snapshot(config.socket_path))
                 << "server wedged after trial " << trial;
         }
     }
-    // Final liveness: stats answers and the accounting registry is
+    // Final liveness: a snapshot answers and the accounting registry is
     // still self-consistent (every counted request got a verdict).
-    ASSERT_TRUE(server_answers_stats(config.socket_path));
+    ASSERT_TRUE(server_answers_snapshot(config.socket_path));
     server.stop();
     const CounterBag stats = server.stats();
     const uint64_t answered = stats.get("svc.verdict.commit") +

@@ -2,7 +2,7 @@
 # KV conflict forensics end-to-end: ycsb_run in --service mode — one
 # sharded server, 4 forked client processes pumping KV-shaped
 # validation RPCs with stale snapshots (a planted conflict storm) —
-# while `svcctl top --json` snapshots the hot-address table, which
+# while `svcctl stats` snapshots the hot-address table, which
 # scripts/resolve_topk.py must join back to string keys via the
 # --key-map-out dictionary. The driver's own exit status proves the
 # server-side accounting ledger balanced.
@@ -53,7 +53,7 @@ done
 
 # Poll until the sketch surfaces conflicting addresses.
 tries=0
-until "$SVCCTL" --socket="$SOCK" top --json > "$OUT"/topk.json \
+until "$SVCCTL" --socket="$SOCK" stats > "$OUT"/topk.json \
         && grep -q '"key":' "$OUT"/topk.json; do
     tries=$((tries + 1))
     if [ "$tries" -gt 100 ]; then

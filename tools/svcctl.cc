@@ -1,56 +1,45 @@
-/// svcctl — live introspection CLI for a running validation service
-/// (src/svc). Speaks the kStats wire op: the server answers with a
-/// metrics-snapshot JSON without an engine pass and without counting
-/// against the pending-request queue, so poking a loaded — even
-/// saturated — server is always safe (tests/svc_test.cc pins that
-/// down).
+/// svcctl — live operator CLI for a running validation service
+/// (src/svc). Speaks the kSnapshot wire op: the server answers with one
+/// JSON operator view, {"metrics": ..., "monitor": ..., "topk": ...},
+/// without an engine pass and without counting against the
+/// pending-request queue, so poking a loaded — even saturated — server
+/// is always safe (tests/svc_test.cc pins that down). Every command
+/// below costs one kSnapshot round trip per view, except dump.
 ///
 /// Usage:
-///   svcctl [--socket=PATH] stats
-///       Print the server's full metrics snapshot (JSON: counters,
-///       gauges, histograms) to stdout.
-///   svcctl [--socket=PATH] hist NAME
-///       Print one histogram's summary line (count/mean/max/p50/p90/
-///       p99), e.g. NAME = svc.stage.engine or svc.batch.rpc_ns.
-///   svcctl [--socket=PATH] watch [--interval-ms=500] [--count=0]
-///       Periodically print a one-line load summary from the server's
-///       monitor (request rate, queue depth, window occupancy, open
-///       connections, health; '-' where the server runs without a
-///       monitor). count=0 runs until interrupted. A lost connection
-///       (server restart) is survived: watch reconnects with bounded
-///       exponential backoff and resumes, only giving up when the
-///       server stays unreachable through the whole backoff budget.
-///   svcctl [--socket=PATH] shards
-///       Print the per-shard breakdown of a sharded server
-///       (validations, aborts, window occupancy per shard, plus the
-///       cross-shard fraction and the load-imbalance factor).
-///   svcctl [--socket=PATH] top [--json]
-///       Print the per-shard hot-key table (the space-saving top-K
-///       sketch fed from conflicting addresses; requires a server
-///       built with -DROCOCO_FORENSICS=ON and a nonzero
-///       forensics_sample). --json dumps the raw reply instead of the
-///       formatted table.
+///   svcctl [--socket=PATH] stats [--hist=NAME] [--shards] [--top]
+///       Without a section flag, print the raw snapshot JSON. Each flag
+///       formats one section instead:
+///         --hist=NAME  one histogram's summary line (count/mean/min/
+///                      max/p50/p90/p99), e.g. NAME = svc.stage.engine;
+///                      exits 1 when no histogram has that name;
+///         --shards     the per-shard breakdown of a sharded server
+///                      (validations, aborts, window occupancy per
+///                      shard, plus the cross-shard fraction and the
+///                      load-imbalance factor);
+///         --top        the per-shard hot-key table (the space-saving
+///                      top-K sketch fed from conflicting addresses;
+///                      empty unless the server was built with
+///                      -DROCOCO_FORENSICS=ON and samples conflicts).
+///   svcctl [--socket=PATH] watch [--interval-ms=1000] [--count=0]
+///                                [--once]
+///       Live terminal dashboard: overall health badge, per-rule SLO
+///       burn-rate table, per-series last/rate plus a sparkline over
+///       the sampler ring, and the conflict hot-key line. Refreshes in
+///       place on a tty; count=0 runs until interrupted. A lost
+///       connection (server restart) is survived: watch reconnects
+///       with bounded exponential backoff and resumes, only giving up
+///       when the server stays unreachable through the whole backoff
+///       budget. --once prints a single frame without reconnecting and
+///       exits 3 when any SLO rule is critical (0 otherwise), so
+///       scripts can use it as a health probe.
 ///   svcctl [--socket=PATH] dump
 ///       Ask the server's flight recorder for a manual incident dump;
 ///       prints the server-side path of the incident file. Fails (exit
 ///       1) when the server runs without a recorder.
-///   svcctl [--socket=PATH] series
-///       Dump the server's monitoring time-series + SLO health verdicts
-///       as raw JSON (the kSeries reply).
-///   svcctl [--socket=PATH] prom
-///       Print the server's metrics in Prometheus text exposition
-///       format (the kProm reply) — pipe into a textfile collector or
-///       curl-replacement scrape job.
-///   svcctl [--socket=PATH] monitor [--interval-ms=1000] [--once]
-///       Live terminal dashboard: overall health badge, per-rule SLO
-///       burn-rate table, per-series last/rate plus a sparkline over
-///       the sampler ring, and the conflict hot-key line. Refreshes in
-///       place on a tty; --once prints a single frame and exits 3 when
-///       any SLO rule is critical (0 otherwise) so scripts can use it
-///       as a health probe.
 ///
 /// Exit status: 0 on success, 1 on connection/protocol failure, 2 on
-/// usage errors, 3 for `monitor --once` observing a critical health
+/// usage errors, 3 for `watch --once` observing a critical health
 /// state. (common/cli.h rejects positional arguments, so this tool
 /// parses argv by hand.)
 #include <sys/socket.h>
@@ -66,6 +55,7 @@
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -80,17 +70,11 @@ void
 usage(FILE* out)
 {
     std::fprintf(out,
-                 "usage: svcctl [--socket=PATH] stats\n"
-                 "       svcctl [--socket=PATH] hist NAME\n"
+                 "usage: svcctl [--socket=PATH] stats [--hist=NAME]"
+                 " [--shards] [--top]\n"
                  "       svcctl [--socket=PATH] watch [--interval-ms=N]"
-                 " [--count=N]\n"
-                 "       svcctl [--socket=PATH] shards\n"
-                 "       svcctl [--socket=PATH] top [--json]\n"
-                 "       svcctl [--socket=PATH] dump\n"
-                 "       svcctl [--socket=PATH] series\n"
-                 "       svcctl [--socket=PATH] prom\n"
-                 "       svcctl [--socket=PATH] monitor [--interval-ms=N]"
-                 " [--once]\n");
+                 " [--count=N] [--once]\n"
+                 "       svcctl [--socket=PATH] dump\n");
 }
 
 int
@@ -112,13 +96,16 @@ connect_server(const std::string& path)
     return fd;
 }
 
-/// One request/reply round trip on an established connection: send
-/// @p frame, wait for the first frame of type @p reply_type, hand its
-/// payload back. Returns false on any transport or protocol failure.
+/// One control round trip on an established connection: send an empty
+/// @p request frame, wait for the first frame of type @p reply_type,
+/// hand its payload back. Returns false on any transport or protocol
+/// failure.
 bool
-round_trip(int fd, const std::vector<uint8_t>& frame, MsgType reply_type,
+round_trip(int fd, MsgType request, MsgType reply_type,
            std::string& json_out)
 {
+    std::vector<uint8_t> frame;
+    rococo::svc::encode_control(frame, request);
     size_t off = 0;
     while (off < frame.size()) {
         const ssize_t n =
@@ -145,13 +132,57 @@ round_trip(int fd, const std::vector<uint8_t>& frame, MsgType reply_type,
     }
 }
 
-/// One kStats round trip on an established connection.
-bool
-fetch_stats(int fd, std::string& json_out)
+/// The kSnapshot reply, split into its three sections.
+struct Snapshot
 {
-    std::vector<uint8_t> frame;
-    rococo::svc::encode_stats_request(frame);
-    return round_trip(fd, frame, MsgType::kStatsReply, json_out);
+    std::string raw;
+    std::string metrics; ///< Registry::to_json of service + shard metrics
+    std::string monitor; ///< HealthMonitor::status_json (or the stub)
+    std::string topk;    ///< ShardRouter::topk_json
+};
+
+/// Split @p snap.raw at its fixed top-level keys: server.cc writes
+/// them in this order, each after a ",\n". Not a general JSON parser.
+bool
+split_snapshot(Snapshot& snap)
+{
+    static constexpr std::string_view kMetrics = "{\"metrics\": ";
+    static constexpr std::string_view kMonitor = ",\n\"monitor\": ";
+    static constexpr std::string_view kTopk = ",\n\"topk\": ";
+    const std::string& raw = snap.raw;
+    const size_t monitor_at = raw.find(kMonitor);
+    const size_t topk_at = raw.find(kTopk, monitor_at);
+    if (raw.compare(0, kMetrics.size(), kMetrics) != 0 ||
+        topk_at == std::string::npos || raw.back() != '}') {
+        return false;
+    }
+    const size_t monitor = monitor_at + kMonitor.size();
+    const size_t topk = topk_at + kTopk.size();
+    snap.metrics = raw.substr(kMetrics.size(), monitor_at - kMetrics.size());
+    snap.monitor = raw.substr(monitor, topk_at - monitor);
+    snap.topk = raw.substr(topk, raw.size() - 1 - topk);
+    return true;
+}
+
+/// Connect, fetch one snapshot and split it. Prints the failure and
+/// returns false on any error.
+bool
+fetch_snapshot(const std::string& socket_path, Snapshot& snap)
+{
+    const int fd = connect_server(socket_path);
+    if (fd < 0) {
+        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
+                     socket_path.c_str());
+        return false;
+    }
+    const bool ok =
+        round_trip(fd, MsgType::kSnapshot, MsgType::kSnapshotReply, snap.raw);
+    close(fd);
+    if (!ok || !split_snapshot(snap)) {
+        std::fprintf(stderr, "svcctl: snapshot request failed\n");
+        return false;
+    }
+    return true;
 }
 
 /// Extract `"name": <value-or-object>` from the snapshot JSON. Good
@@ -196,18 +227,18 @@ extract_number(const std::string& json, const std::string& name)
     return std::atof(text.c_str());
 }
 
-// ---- kSeries reply parsing ---------------------------------------------
+// ---- "monitor" section parsing ----------------------------------------
 //
-// The reply is {"enabled": B, "health": {...}, "samples": {...}} with
+// The section is {"enabled": B, "health": {...}, "samples": {...}} with
 // fixed key order (obs/health.cc, obs/timeseries.cc): every rule and
 // every series object starts on its own line with {"name": "..." and
 // ends at the first "]}" after it (the transitions / points array
 // close). A linear scan is enough; this is not a general JSON parser.
 
-/// Split the reply into the health and samples sections so rule and
+/// Split the section into its health and samples parts so rule and
 /// series objects (which share the {"name": ... shape) don't mix.
 void
-split_series_reply(const std::string& json, std::string& health,
+split_monitor(const std::string& json, std::string& health,
                    std::string& samples)
 {
     const size_t at = json.find("\"samples\":");
@@ -333,103 +364,54 @@ format_value(double v)
     return buf;
 }
 
-/// One kSeries round trip on an established connection.
+/// `stats --hist=NAME`: one histogram's summary line. Only the
+/// "histograms" block is searched, so a gauge of the same name (also
+/// an object) does not pass for a histogram.
 bool
-fetch_series(int fd, std::string& json_out)
+print_hist(const std::string& metrics, const std::string& name)
 {
-    std::vector<uint8_t> frame;
-    rococo::svc::encode_series_request(frame);
-    return round_trip(fd, frame, MsgType::kSeriesReply, json_out);
-}
-
-int
-cmd_stats(const std::string& socket_path)
-{
-    const int fd = connect_server(socket_path);
-    if (fd < 0) {
-        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                     socket_path.c_str());
-        return 1;
-    }
-    std::string json;
-    const bool ok = fetch_stats(fd, json);
-    close(fd);
-    if (!ok) {
-        std::fprintf(stderr, "svcctl: stats request failed\n");
-        return 1;
-    }
-    std::printf("%s\n", json.c_str());
-    return 0;
-}
-
-int
-cmd_hist(const std::string& socket_path, const std::string& name)
-{
-    const int fd = connect_server(socket_path);
-    if (fd < 0) {
-        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                     socket_path.c_str());
-        return 1;
-    }
-    std::string json;
-    const bool ok = fetch_stats(fd, json);
-    close(fd);
-    if (!ok) {
-        std::fprintf(stderr, "svcctl: stats request failed\n");
-        return 1;
-    }
+    const size_t at = metrics.find("\"histograms\":");
     std::string value;
-    if (!extract_value(json, name, value) || value.empty() ||
+    if (at == std::string::npos ||
+        !extract_value(metrics.substr(at), name, value) || value.empty() ||
         value[0] != '{') {
         std::fprintf(stderr, "svcctl: no histogram named %s\n",
                      name.c_str());
-        return 1;
+        return false;
     }
     std::printf("%s: %s\n", name.c_str(), value.c_str());
-    return 0;
+    return true;
 }
 
-int
-cmd_shards(const std::string& socket_path)
+/// `stats --shards`: the per-shard breakdown.
+bool
+print_shards(const std::string& metrics)
 {
-    const int fd = connect_server(socket_path);
-    if (fd < 0) {
-        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                     socket_path.c_str());
-        return 1;
-    }
-    std::string json;
-    const bool ok = fetch_stats(fd, json);
-    close(fd);
-    if (!ok) {
-        std::fprintf(stderr, "svcctl: stats request failed\n");
-        return 1;
-    }
     std::string probe;
-    if (!extract_value(json, "shard.0.validations", probe)) {
+    if (!extract_value(metrics, "shard.0.validations", probe)) {
         std::fprintf(stderr, "svcctl: server exports no shard metrics\n");
-        return 1;
+        return false;
     }
     std::printf("%8s %14s %12s %12s\n", "shard", "validations", "aborts",
                 "window");
     for (unsigned s = 0;; ++s) {
         const std::string prefix = "shard." + std::to_string(s);
-        if (!extract_value(json, prefix + ".validations", probe)) break;
+        if (!extract_value(metrics, prefix + ".validations", probe)) break;
         std::printf("%8u %14.0f %12.0f %12.0f\n", s,
-                    extract_number(json, prefix + ".validations"),
-                    extract_number(json, prefix + ".aborts"),
-                    extract_number(json, prefix + ".occupancy"));
+                    extract_number(metrics, prefix + ".validations"),
+                    extract_number(metrics, prefix + ".aborts"),
+                    extract_number(metrics, prefix + ".occupancy"));
     }
     std::printf("cross-shard: %.0f of %.0f (fraction %.4f), imbalance %.3f\n",
-                extract_number(json, "shard.cross"),
-                extract_number(json, "shard.validations"),
-                extract_number(json, "shard.cross_fraction"),
-                extract_number(json, "shard.imbalance"));
-    return 0;
+                extract_number(metrics, "shard.cross"),
+                extract_number(metrics, "shard.validations"),
+                extract_number(metrics, "shard.cross_fraction"),
+                extract_number(metrics, "shard.imbalance"));
+    return true;
 }
 
-/// Formatted view of the kTopKReply JSON. The reply's shape is fixed
-/// by ShardRouter::topk_json — {"shards": [{"shard": S, "offered": N,
+/// Formatted view of the "topk" section. Its shape is fixed by
+/// ShardRouter::topk_json — {"shards": [{"shard": S, "offered": N,
 /// "entries": [{"key": K, "count": C, "error": E}, ...]}, ...]} — so a
 /// linear scan is enough; this is not a general JSON parser.
 void
@@ -470,29 +452,20 @@ print_topk_table(const std::string& json)
 }
 
 int
-cmd_top(const std::string& socket_path, bool raw_json)
+cmd_stats(const std::string& socket_path, const std::string& hist,
+          bool shards, bool top)
 {
-    const int fd = connect_server(socket_path);
-    if (fd < 0) {
-        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                     socket_path.c_str());
-        return 1;
+    Snapshot snap;
+    if (!fetch_snapshot(socket_path, snap)) return 1;
+    if (hist.empty() && !shards && !top) {
+        std::printf("%s\n", snap.raw.c_str());
+        return 0;
     }
-    std::vector<uint8_t> frame;
-    rococo::svc::encode_topk_request(frame);
-    std::string json;
-    const bool ok = round_trip(fd, frame, MsgType::kTopKReply, json);
-    close(fd);
-    if (!ok) {
-        std::fprintf(stderr, "svcctl: top request failed\n");
-        return 1;
-    }
-    if (raw_json) {
-        std::printf("%s\n", json.c_str());
-    } else {
-        print_topk_table(json);
-    }
-    return 0;
+    bool ok = true;
+    if (!hist.empty()) ok = print_hist(snap.metrics, hist) && ok;
+    if (shards) ok = print_shards(snap.metrics) && ok;
+    if (top) print_topk_table(snap.topk);
+    return ok ? 0 : 1;
 }
 
 int
@@ -504,10 +477,8 @@ cmd_dump(const std::string& socket_path)
                      socket_path.c_str());
         return 1;
     }
-    std::vector<uint8_t> frame;
-    rococo::svc::encode_dump_request(frame);
     std::string json;
-    const bool ok = round_trip(fd, frame, MsgType::kDumpReply, json);
+    const bool ok = round_trip(fd, MsgType::kDump, MsgType::kDumpReply, json);
     close(fd);
     if (!ok) {
         std::fprintf(stderr, "svcctl: dump request failed\n");
@@ -519,59 +490,16 @@ cmd_dump(const std::string& socket_path)
     return json.find("\"ok\": true") != std::string::npos ? 0 : 1;
 }
 
-int
-cmd_series(const std::string& socket_path)
-{
-    const int fd = connect_server(socket_path);
-    if (fd < 0) {
-        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                     socket_path.c_str());
-        return 1;
-    }
-    std::string json;
-    const bool ok = fetch_series(fd, json);
-    close(fd);
-    if (!ok) {
-        std::fprintf(stderr, "svcctl: series request failed\n");
-        return 1;
-    }
-    std::printf("%s\n", json.c_str());
-    return 0;
-}
-
-int
-cmd_prom(const std::string& socket_path)
-{
-    const int fd = connect_server(socket_path);
-    if (fd < 0) {
-        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                     socket_path.c_str());
-        return 1;
-    }
-    std::vector<uint8_t> frame;
-    rococo::svc::encode_prom_request(frame);
-    std::string text;
-    const bool ok = round_trip(fd, frame, MsgType::kPromReply, text);
-    close(fd);
-    if (!ok) {
-        std::fprintf(stderr, "svcctl: prom request failed\n");
-        return 1;
-    }
-    // The payload is already the text exposition, newline-terminated.
-    std::fputs(text.c_str(), stdout);
-    return 0;
-}
-
-/// Render one monitor frame from a kSeries reply (plus the optional
-/// kTopK reply for the hot-key line). Returns the overall health state
-/// string so the caller can derive the --once exit status.
+/// Render one dashboard frame from the "monitor" section (plus the
+/// "topk" section for the hot-key line). Returns the overall health
+/// state string so the caller can derive the --once exit status.
 std::string
-print_monitor_frame(const std::string& series_json,
+print_monitor_frame(const std::string& monitor_json,
                     const std::string& topk_json)
 {
     std::string health;
     std::string samples;
-    split_series_reply(series_json, health, samples);
+    split_monitor(monitor_json, health, samples);
     const std::string overall = extract_string(health, "state");
 
     char clock[32] = "";
@@ -633,7 +561,7 @@ print_monitor_frame(const std::string& series_json,
                     " monitor.enabled)\n");
     }
 
-    // Hot keys, compressed to one line (full table: svcctl top).
+    // Hot keys, compressed to one line (full table: svcctl stats --top).
     std::printf("\nhot keys:");
     size_t shown = 0;
     size_t pos = 0;
@@ -655,60 +583,16 @@ print_monitor_frame(const std::string& series_json,
 }
 
 int
-cmd_monitor(const std::string& socket_path, unsigned interval_ms,
-            unsigned count, bool once)
-{
-    const int fd = connect_server(socket_path);
-    if (fd < 0) {
-        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                     socket_path.c_str());
-        return 1;
-    }
-    const bool tty = isatty(STDOUT_FILENO) != 0;
-    int status = 0;
-    for (unsigned i = 0; once || count == 0 || i < count;) {
-        std::string series_json;
-        if (!fetch_series(fd, series_json)) {
-            close(fd);
-            std::fprintf(stderr, "svcctl: series request failed\n");
-            return 1;
-        }
-        std::vector<uint8_t> frame;
-        rococo::svc::encode_topk_request(frame);
-        std::string topk_json;
-        if (!round_trip(fd, frame, MsgType::kTopKReply, topk_json)) {
-            close(fd);
-            std::fprintf(stderr, "svcctl: top request failed\n");
-            return 1;
-        }
-        if (tty && !once) {
-            std::printf("\033[H\033[J"); // home + clear: redraw in place
-        }
-        const std::string overall =
-            print_monitor_frame(series_json, topk_json);
-        std::fflush(stdout);
-        status = overall == "critical" ? 3 : 0;
-        if (once) break;
-        ++i;
-        if (count == 0 || i < count) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(interval_ms));
-        }
-    }
-    close(fd);
-    return once ? status : 0;
-}
-
-int
 cmd_watch(const std::string& socket_path, unsigned interval_ms,
-          unsigned count)
+          unsigned count, bool once)
 {
     // One persistent connection: watch must observe the server, not
-    // perturb it with a connect/close churn per sample. A failed round
+    // perturb it with a connect/close churn per frame. A failed round
     // trip means the server went away (restart, crash); instead of
     // dying with it, reconnect with bounded exponential backoff and
-    // retry the same sample — only a server that stays down through
-    // the whole backoff budget ends the watch.
+    // retry the same frame — only a server that stays down through the
+    // whole backoff budget ends the watch. --once is a probe: it fails
+    // at once instead of waiting for the server.
     constexpr unsigned kBackoffStartMs = 50;
     constexpr unsigned kBackoffCapMs = 2000;
     constexpr unsigned kMaxAttempts = 60;
@@ -724,55 +608,47 @@ cmd_watch(const std::string& socket_path, unsigned interval_ms,
         return -1;
     };
     int fd = connect_server(socket_path);
-    if (fd < 0) {
+    if (fd < 0 && !once) {
         std::fprintf(stderr, "svcctl: waiting for %s\n",
                      socket_path.c_str());
         fd = reconnect();
-        if (fd < 0) {
-            std::fprintf(stderr, "svcctl: cannot connect to %s\n",
-                         socket_path.c_str());
-            return 1;
-        }
     }
-    // Watch rides the kSeries op so its request rate is the *server's*
-    // windowed rate (the same number monitor and the SLO rules see),
-    // not a client-side delta between two kStats snapshots. A column
-    // shows '-' until its series has a value — always, on a server
-    // without a monitor, as in monitor's series table.
-    std::printf("%12s %12s %12s %12s %10s\n", "req/s", "queue", "window",
-                "conns", "health");
+    if (fd < 0) {
+        std::fprintf(stderr, "svcctl: cannot connect to %s\n",
+                     socket_path.c_str());
+        return 1;
+    }
+    const bool tty = isatty(STDOUT_FILENO) != 0;
+    int status = 0;
     for (unsigned i = 0; count == 0 || i < count;) {
-        std::string json;
-        if (!fetch_series(fd, json)) {
+        Snapshot snap;
+        if (!round_trip(fd, MsgType::kSnapshot, MsgType::kSnapshotReply,
+                        snap.raw)) {
             close(fd);
+            if (once) {
+                std::fprintf(stderr, "svcctl: snapshot request failed\n");
+                return 1;
+            }
             std::fprintf(stderr, "svcctl: connection lost, reconnecting\n");
             fd = reconnect();
             if (fd < 0) {
                 std::fprintf(stderr, "svcctl: server did not come back\n");
                 return 1;
             }
-            continue; // retry this sample on the fresh connection
+            continue; // retry this frame on the fresh connection
         }
-        std::string health;
-        std::string samples;
-        split_series_reply(json, health, samples);
-        auto series_field = [&](const char* name, const char* field) {
-            for (const std::string& s : split_named_objects(samples)) {
-                if (extract_string(s, "name") != name) continue;
-                double v = 0.0;
-                if (extract_opt_number(s, field, &v)) return format_value(v);
-                break;
-            }
-            return std::string("-");
-        };
-        const std::string overall = extract_string(health, "state");
-        std::printf("%12s %12s %12s %12s %10s\n",
-                    series_field("svc.requests", "rate").c_str(),
-                    series_field("svc.queue_depth", "last").c_str(),
-                    series_field("svc.window_occupancy", "last").c_str(),
-                    series_field("svc.connections_open", "last").c_str(),
-                    overall.empty() ? "-" : overall.c_str());
+        if (!split_snapshot(snap)) {
+            close(fd);
+            std::fprintf(stderr, "svcctl: malformed snapshot reply\n");
+            return 1;
+        }
+        if (tty && !once) {
+            std::printf("\033[H\033[J"); // home + clear: redraw in place
+        }
+        const std::string overall =
+            print_monitor_frame(snap.monitor, snap.topk);
         std::fflush(stdout);
+        status = overall == "critical" ? 3 : 0;
         ++i;
         if (count == 0 || i < count) {
             std::this_thread::sleep_for(
@@ -780,7 +656,7 @@ cmd_watch(const std::string& socket_path, unsigned interval_ms,
         }
     }
     close(fd);
-    return 0;
+    return once ? status : 0;
 }
 
 } // namespace
@@ -789,13 +665,14 @@ int
 main(int argc, char** argv)
 {
     std::string socket_path = "/tmp/rococo_svc.sock";
-    unsigned interval_ms = 500;
+    unsigned interval_ms = 1000;
     unsigned count = 0;
     std::string command;
-    std::vector<std::string> operands;
-    bool raw_json = false;
+    std::string hist;
+    bool shards = false;
+    bool top = false;
     bool once = false;
-    bool interval_set = false;
+    bool extra_operand = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -811,11 +688,16 @@ main(int argc, char** argv)
             socket_path = v;
         } else if (const char* v = value_of("--interval-ms")) {
             interval_ms = static_cast<unsigned>(std::atoi(v));
-            interval_set = true;
         } else if (const char* v = value_of("--count")) {
             count = static_cast<unsigned>(std::atoi(v));
-        } else if (arg == "--json") {
-            raw_json = true;
+        } else if (const char* v = value_of("--hist")) {
+            hist = v;
+        } else if (arg == "--hist" && i + 1 < argc) {
+            hist = argv[++i];
+        } else if (arg == "--shards") {
+            shards = true;
+        } else if (arg == "--top") {
+            top = true;
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -828,39 +710,19 @@ main(int argc, char** argv)
         } else if (command.empty()) {
             command = arg;
         } else {
-            operands.push_back(arg);
+            extra_operand = true;
         }
     }
 
-    if (command == "stats" && operands.empty()) {
-        return cmd_stats(socket_path);
+    if (!extra_operand && command == "stats") {
+        return cmd_stats(socket_path, hist, shards, top);
     }
-    if (command == "hist" && operands.size() == 1) {
-        return cmd_hist(socket_path, operands[0]);
-    }
-    if (command == "watch" && operands.empty()) {
+    if (!extra_operand && command == "watch") {
         if (interval_ms == 0) interval_ms = 1;
-        return cmd_watch(socket_path, interval_ms, count);
+        return cmd_watch(socket_path, interval_ms, once ? 1 : count, once);
     }
-    if (command == "shards" && operands.empty()) {
-        return cmd_shards(socket_path);
-    }
-    if (command == "top" && operands.empty()) {
-        return cmd_top(socket_path, raw_json);
-    }
-    if (command == "dump" && operands.empty()) {
+    if (!extra_operand && command == "dump") {
         return cmd_dump(socket_path);
-    }
-    if (command == "series" && operands.empty()) {
-        return cmd_series(socket_path);
-    }
-    if (command == "prom" && operands.empty()) {
-        return cmd_prom(socket_path);
-    }
-    if (command == "monitor" && operands.empty()) {
-        if (!interval_set) interval_ms = 1000; // calmer monitor default
-        if (interval_ms == 0) interval_ms = 1;
-        return cmd_monitor(socket_path, interval_ms, count, once);
     }
     usage(stderr);
     return 2;
