@@ -42,11 +42,12 @@ ShardRouter::ShardRouter(const ShardConfig& config)
             &registry_.counter(prefix + ".conflict.aggressors");
         shards_.push_back(std::move(shard));
     }
-    submitted_ = &registry_.counter("submitted");
+    submitted_ = &registry_.counter("shard.submitted");
     cross_ = &registry_.counter("shard.cross");
     total_ = &registry_.counter("shard.validations");
     for (size_t i = 0; i < core::kVerdictCount; ++i) {
         verdict_[i] = &registry_.counter(
+            std::string("shard.verdict.") +
             core::to_string(static_cast<core::Verdict>(i)));
     }
     route_ns_ = &registry_.histogram("shard.route_ns");
@@ -377,7 +378,22 @@ ShardRouter::validate(fpga::OffloadRequest request,
 CounterBag
 ShardRouter::stats() const
 {
-    return registry_.to_counter_bag();
+    // Same bare verdict and "submitted" keys as the other backends, so
+    // callers can swap them without re-learning counter names; the
+    // registry keeps them namespaced for export.
+    static constexpr char kVerdict[] = "shard.verdict.";
+    CounterBag bag;
+    const CounterBag raw = registry_.to_counter_bag();
+    for (const auto& [name, value] : raw.counters()) {
+        if (name.rfind(kVerdict, 0) == 0) {
+            bag.bump(name.substr(sizeof(kVerdict) - 1), value);
+        } else if (name == "shard.submitted") {
+            bag.bump("submitted", value);
+        } else {
+            bag.bump(name, value);
+        }
+    }
+    return bag;
 }
 
 void

@@ -225,7 +225,9 @@ class ShardRouter final : public fpga::ValidationBackend
     /// Counters: per-verdict totals ("commit" / "abort-cycle" /
     /// "window-overflow"), "submitted", "timeout", plus the shard.*
     /// keys (shard.<i>.validations, shard.<i>.aborts,
-    /// shard.validations, shard.cross).
+    /// shard.validations, shard.cross). The registry holds the first
+    /// two as shard.verdict.<v> and shard.submitted; this view strips
+    /// the prefixes.
     CounterBag stats() const override;
 
     /// Merge router metrics into @p registry: the counters above plus

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/spin_wait.h"
 #include "obs/clock.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
@@ -295,7 +296,14 @@ Server::loop()
                 monitor_->sampler().config().sample_period_ns / 1'000'000, 1,
                 1000));
         }
-        const int ready = poll(fds.data(), fds.size(), timeout_ms);
+        // Idle: spin on a zero-timeout poll() first, so a request (or
+        // stop()'s wake byte) due within the spin budget costs no sleep.
+        int ready = 0;
+        if (timeout_ms != 0) {
+            spin_until(
+                [&] { return (ready = poll(fds.data(), fds.size(), 0)) != 0; });
+        }
+        if (ready == 0) ready = poll(fds.data(), fds.size(), timeout_ms);
         if (!running_) break;
         if (ready < 0 && errno != EINTR) break;
 

@@ -97,10 +97,6 @@ get_address_sets(const uint8_t* p, size_t remaining,
 void
 encode_request(std::vector<uint8_t>& out, const WireRequest& request)
 {
-    out.reserve(out.size() + kFrameHeaderBytes + 5 * 8 + 8 +
-                (request.offload.reads.size() +
-                 request.offload.writes.size()) *
-                    8);
     const size_t at = begin_frame(out, MsgType::kRequestV2);
     put_u64(out, request.request_id);
     put_u64(out, request.offload.snapshot_cid);
@@ -114,7 +110,6 @@ encode_request(std::vector<uint8_t>& out, const WireRequest& request)
 void
 encode_response(std::vector<uint8_t>& out, const WireResponse& response)
 {
-    out.reserve(out.size() + kResponseFrameBytes);
     const size_t at = begin_frame(out, MsgType::kResponseV2);
     put_u64(out, response.request_id);
     put_u8(out, static_cast<uint8_t>(response.result.verdict));

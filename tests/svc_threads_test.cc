@@ -5,8 +5,9 @@
 /// re-proves the service accounting invariant
 ///   svc.requests == sum(svc.verdict.*) + svc.timeout + svc.rejected.
 /// These are the tests the TSan preset leans on: every handoff between
-/// the service thread, the clients' reader threads and the caller of
-/// start()/stop()/stats() gets exercised under real contention.
+/// the service thread, the client callers that pass the socket's read
+/// role among themselves and the caller of start()/stop()/stats() gets
+/// exercised under real contention.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -263,6 +265,41 @@ TEST(SvcThreads, RestartCyclesDrainWorkersAndRebind)
         EXPECT_EQ(stats.get("svc.requests"), total_requests);
         EXPECT_EQ(accounted(stats), total_requests);
     }
+}
+
+// ---------------------------------------------------------------------
+// Threads
+
+/// Threads of this process, from /proc/self/task.
+size_t
+thread_count()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+/// The client has no reader thread: the callers that wait read the
+/// socket themselves, so connecting and validating start no thread.
+TEST(SvcThreads, ConnectedClientStartsNoThread)
+{
+    ServerConfig config;
+    config.socket_path = test_socket_path("nothread");
+    Server server(config);
+    ASSERT_TRUE(server.start());
+
+    const size_t before = thread_count();
+    {
+        ClientConfig client_config;
+        client_config.socket_path = config.socket_path;
+        ValidationClient client(client_config);
+        ASSERT_TRUE(client.connected());
+        EXPECT_EQ(thread_count(), before);
+        EXPECT_EQ(client.validate({{}, {1}, 0}).verdict,
+                  core::Verdict::kCommit);
+        EXPECT_EQ(thread_count(), before);
+        client.stop();
+    }
+    server.stop();
 }
 
 } // namespace
