@@ -399,7 +399,11 @@ run_one(const LoadConfig& load, size_t clients, size_t batch,
         if (pipe(fds) != 0) std::exit(1);
         const pid_t pid = fork();
         if (pid == 0) {
-            close(fds[0]);
+            // Keep stdio and the result pipe only: an inherited copy of
+            // the server's listening socket or accepted connections
+            // would keep them open after the server is gone.
+            close_range(3, fds[1] - 1, 0);
+            close_range(fds[1] + 1, ~0u, 0);
             // Only the first child writes the client telemetry file.
             const std::string& telemetry =
                 c == 0 ? telemetry_client : std::string();

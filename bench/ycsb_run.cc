@@ -532,7 +532,11 @@ run_service(const SvcRunConfig& cfg)
         if (pipe(fds) != 0) return 1;
         const pid_t pid = fork();
         if (pid == 0) {
-            close(fds[0]);
+            // Keep stdio and the result pipe only: an inherited copy of
+            // the server's listening socket or accepted connections
+            // would keep them open after the server is gone.
+            close_range(3, fds[1] - 1, 0);
+            close_range(fds[1] + 1, ~0u, 0);
             const SvcClientReport report = run_svc_client(
                 cfg, static_cast<unsigned>(cfg.run.seed + 1000 + c));
             const ssize_t n = write(fds[1], &report, sizeof(report));

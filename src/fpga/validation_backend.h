@@ -1,11 +1,12 @@
 /// @file
 /// Abstract validation backend: the seam between the TM runtime and
-/// whatever actually runs the ROCoCo reachability check. Two
+/// whatever actually runs the ROCoCo reachability check. Three
 /// implementations exist:
 ///
 ///   * fpga::ValidationPipeline — the in-process worker thread that
 ///     owns a ValidationEngine (the single-address-space deployment of
 ///     the paper, Fig. 6 (b));
+///   * shard::ShardRouter — S engines validated in the calling thread;
 ///   * svc::ValidationClient — a socket client of the networked
 ///     validation service (src/svc), where one server-owned engine and
 ///     sliding window are shared by many client processes, the way one
@@ -16,7 +17,6 @@
 #pragma once
 
 #include <chrono>
-#include <future>
 #include <memory>
 
 #include "common/stats.h"
@@ -25,31 +25,26 @@
 
 namespace rococo::fpga {
 
+/// When a caller stops waiting for its verdict; kNoDeadline waits for
+/// as long as the verdict takes.
+using Deadline = std::chrono::steady_clock::time_point;
+inline constexpr Deadline kNoDeadline = Deadline::max();
+
 class ValidationBackend
 {
   public:
     virtual ~ValidationBackend() = default;
 
-    /// Enqueue a request; the future resolves when a verdict exists —
-    /// including shutdown/backpressure verdicts, never a broken
-    /// promise. svc::ValidationClient returns a deferred future: the
-    /// request is sent at once and get() reads the socket for the
-    /// verdict (there is no reader thread), so wait_for() reports
-    /// std::future_status::deferred. Later submit() calls also read the
-    /// responses that have arrived, so a caller may keep any number of
-    /// futures outstanding. get() every such future before the backend
-    /// is destroyed, or its slot is never recycled.
-    virtual std::future<core::ValidationResult> submit(
-        OffloadRequest request) = 0;
-
-    /// submit() + wait.
-    virtual core::ValidationResult validate(OffloadRequest request) = 0;
-
-    /// submit() + wait at most @p timeout; on expiry returns a
-    /// Verdict::kTimeout result with obs::AbortReason::kTimeout (the
-    /// late verdict, if any, is discarded).
+    /// Validate @p request and block until its verdict — as the paper's
+    /// executor stalls on the pull queue (Fig. 6 (b)). Shutdown and
+    /// backpressure come back as Verdict::kRejected with
+    /// obs::AbortReason::kBackpressure. Once @p deadline has passed the
+    /// result is Verdict::kTimeout with obs::AbortReason::kTimeout and a
+    /// late verdict is discarded; a discarded *commit* still occupied a
+    /// cid in the engine window, so the caller must abort the
+    /// transaction (never half-commit), as the TM retry loop does.
     virtual core::ValidationResult validate(
-        OffloadRequest request, std::chrono::nanoseconds timeout) = 0;
+        OffloadRequest request, Deadline deadline = kNoDeadline) = 0;
 
     /// Backend-side counters (verdicts, submissions, queue/backlog
     /// occupancy — see the concrete class for the exact keys).
@@ -64,8 +59,8 @@ class ValidationBackend
     virtual std::shared_ptr<const sig::SignatureConfig> signature_config()
         const = 0;
 
-    /// Stop the backend; outstanding futures resolve (with real or
-    /// aborted verdicts). Idempotent.
+    /// Stop the backend; callers still waiting get their real verdict or
+    /// a kRejected one, and later calls are rejected. Idempotent.
     virtual void stop() = 0;
 };
 

@@ -6,7 +6,7 @@ ValidationEngine::ValidationEngine(const EngineConfig& config)
     : config_(config), link_(config.link),
       sig_config_(std::make_shared<const sig::SignatureConfig>(
           config.signature_bits, config.signature_hashes, config.hash_seed)),
-      detector_(config.window, sig_config_), manager_(config.window)
+      detector_(config.window, sig_config_), validator_(config.window)
 {
 }
 
@@ -19,7 +19,7 @@ ValidationEngine::process(const OffloadRequest& request)
         return {core::Verdict::kCommit, 0, obs::AbortReason::kNone};
     }
 
-    if (request.snapshot_cid < manager_.window_start() &&
+    if (request.snapshot_cid < validator_.window_start() &&
         !request.reads.empty()) {
         // The snapshot predates the window: updates of evicted commits
         // may have been neglected (§4.2).
@@ -48,14 +48,15 @@ core::Verdict
 ValidationEngine::validate_only(
     const core::ValidationRequest& classified) const
 {
-    return manager_.validator().validate_only(classified);
+    return validator_.validate_only(classified);
 }
 
 core::ValidationResult
 ValidationEngine::commit_classified(
     const core::ValidationRequest& classified, const OffloadRequest& request)
 {
-    const core::ValidationResult result = manager_.decide(classified);
+    const core::ValidationResult result =
+        validator_.validate_and_commit(classified);
     if (result.verdict == core::Verdict::kCommit) {
         detector_.record_commit(result.cid, request);
     } else if (result.verdict == core::Verdict::kAbortCycle &&

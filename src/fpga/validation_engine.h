@@ -1,6 +1,9 @@
 /// @file
 /// The complete FPGA validation engine: Detector + Manager in lockstep
-/// (Fig. 5), plus the link timing model. This is the functional model —
+/// (Fig. 5), plus the link timing model. The Manager — the
+/// reachability matrix held in 2D registers plus the commit/evict
+/// control — is the sliding-window validator itself
+/// (core/sliding_window.h). This is the functional model —
 /// call process() per request, in commit-arrival order. Concurrency and
 /// queueing live one level up (ValidationPipeline for real threads, the
 /// discrete-event simulator for modelled time).
@@ -9,10 +12,9 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/stats.h"
+#include "core/sliding_window.h"
 #include "fpga/cci_link.h"
 #include "fpga/detector.h"
-#include "fpga/manager.h"
 #include "obs/topk.h"
 
 namespace rococo::fpga {
@@ -65,10 +67,10 @@ class ValidationEngine
     void classify_into(const OffloadRequest& request,
                        core::ValidationRequest* out) const;
 
-    /// Validate @p classified without committing — no window mutation,
-    /// no verdict counters. The reserve phase of the cross-shard
-    /// two-phase coordinator (src/shard) holds the shard lock between
-    /// this and commit_classified(), so the verdict cannot go stale.
+    /// Validate @p classified without committing — no window mutation.
+    /// The reserve phase of the cross-shard two-phase coordinator
+    /// (src/shard) holds the shard lock between this and
+    /// commit_classified(), so the verdict cannot go stale.
     core::Verdict validate_only(const core::ValidationRequest& classified)
         const;
 
@@ -95,14 +97,15 @@ class ValidationEngine
     /// otherwise idle, in ns.
     double isolated_latency_ns(const OffloadRequest& request) const;
 
-    uint64_t next_cid() const { return manager_.next_cid(); }
-    uint64_t window_start() const { return manager_.window_start(); }
-
-    /// Verdict counters.
-    const CounterBag& stats() const { return manager_.stats(); }
+    uint64_t next_cid() const { return validator_.next_cid(); }
+    uint64_t window_start() const { return validator_.window_start(); }
 
     const ConflictDetector& detector() const { return detector_; }
-    const Manager& manager() const { return manager_; }
+    /// The Manager: reachability matrix + commit/evict control.
+    const core::SlidingWindowValidator& validator() const
+    {
+        return validator_;
+    }
 
     /// Hot-key attribution sketch: the addresses of conflicting
     /// read/write-set entries, sampled on the cycle-abort path (see
@@ -115,7 +118,7 @@ class ValidationEngine
     CciLinkModel link_;
     std::shared_ptr<const sig::SignatureConfig> sig_config_;
     ConflictDetector detector_;
-    Manager manager_;
+    core::SlidingWindowValidator validator_;
     /// Classification scratch for process(); capacity reaches the
     /// window high-water once and is reused per request.
     core::ValidationRequest classify_scratch_;

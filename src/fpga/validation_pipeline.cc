@@ -14,8 +14,6 @@ ValidationPipeline::ValidationPipeline(const EngineConfig& config)
       queue_depth_gauge_(obs::Registry::global().gauge("fpga.queue_depth")),
       window_occupancy_gauge_(
           obs::Registry::global().gauge("fpga.window_occupancy")),
-      validate_ns_hist_(
-          obs::Registry::global().histogram("fpga.validate_ns")),
       stage_queue_hist_(
           obs::Registry::global().histogram("fpga.stage.queue")),
       stage_engine_hist_(
@@ -28,27 +26,6 @@ ValidationPipeline::ValidationPipeline(const EngineConfig& config)
 ValidationPipeline::~ValidationPipeline()
 {
     stop();
-}
-
-ValidationPipeline::Slot*
-ValidationPipeline::acquire_slot_locked()
-{
-    if (!free_.empty()) {
-        Slot* slot = free_.back();
-        free_.pop_back();
-        return slot;
-    }
-    slab_.emplace_back();
-    return &slab_.back();
-}
-
-void
-ValidationPipeline::release_slot_locked(Slot* slot)
-{
-    slot->state = Slot::State::kFree;
-    slot->done.store(false, std::memory_order_relaxed);
-    slot->promised = false;
-    free_.push_back(slot);
 }
 
 void
@@ -73,25 +50,33 @@ ValidationPipeline::Slot*
 ValidationPipeline::pop_ring_locked()
 {
     Slot* slot = ring_[ring_head_];
+    slot->in_ring = false;
     ring_head_ = (ring_head_ + 1) % ring_.size();
     --ring_size_;
     queued_.store(ring_size_, std::memory_order_release);
     return slot;
 }
 
-ValidationPipeline::Slot*
-ValidationPipeline::enqueue_locked(OffloadRequest&& request)
+void
+ValidationPipeline::unlink_locked(const Slot* slot)
 {
-    ++submitted_;
-    if (closed_) return nullptr;
-    Slot* slot = acquire_slot_locked();
-    slot->request = std::move(request);
-    slot->result = {};
-    slot->submit_ns = obs::now_ns();
-    slot->state = Slot::State::kQueued;
-    push_ring_locked(slot);
-    if (ring_size_ > high_water_) high_water_ = ring_size_;
-    return slot;
+    size_t i = 0;
+    while (ring_[(ring_head_ + i) % ring_.size()] != slot) ++i;
+    for (; i + 1 < ring_size_; ++i) {
+        ring_[(ring_head_ + i) % ring_.size()] =
+            ring_[(ring_head_ + i + 1) % ring_.size()];
+    }
+    --ring_size_;
+    queued_.store(ring_size_, std::memory_order_release);
+}
+
+void
+ValidationPipeline::complete_locked(Slot* slot,
+                                    const core::ValidationResult& result)
+{
+    slot->result = result;
+    slot->done.store(true, std::memory_order_release);
+    slot->cv.notify_one();
 }
 
 void
@@ -105,6 +90,7 @@ ValidationPipeline::worker_loop()
         });
         if (ring_size_ == 0) break; // closed and drained
         Slot* slot = pop_ring_locked();
+        const OffloadRequest& request = *slot->request;
         const uint64_t submit_ns = slot->submit_ns;
         lock.unlock();
 
@@ -114,9 +100,9 @@ ValidationPipeline::worker_loop()
         {
             obs::ScopedSpan span("fpga", "fpga.validate");
             std::lock_guard<std::mutex> engine_lock(engine_mutex_);
-            result = engine_.process(slot->request);
+            result = engine_.process(request);
             if (obs::telemetry_active()) {
-                link_ns = engine_.isolated_latency_ns(slot->request);
+                link_ns = engine_.isolated_latency_ns(request);
             }
             if (result.verdict == core::Verdict::kCommit) {
                 span.arg("cid", result.cid);
@@ -128,7 +114,6 @@ ValidationPipeline::worker_loop()
         // moment its validate() returns, the caller may export metrics,
         // and every answered request must already be in the histograms.
         if (obs::telemetry_active()) {
-            validate_ns_hist_.record(elapsed);
             // Same decomposition axes as the remote backend's
             // svc.stage.* (minus the stages a socket adds), so local
             // vs. remote breakdowns compare column-for-column.
@@ -149,19 +134,9 @@ ValidationPipeline::worker_loop()
         ++verdicts_[static_cast<size_t>(result.verdict)];
         busy_ns_ += elapsed;
         const size_t depth = ring_size_;
-        if (slot->promised) {
-            slot->promise.set_value(result);
-            release_slot_locked(slot);
-        } else if (slot->state == Slot::State::kAbandoned) {
-            // The sync waiter already left with kTimeout; discard the
-            // verdict (see the validate(timeout) caveat).
-            release_slot_locked(slot);
-        } else {
-            slot->result = result;
-            slot->state = Slot::State::kDone;
-            slot->done.store(true, std::memory_order_release);
-            slot->cv.notify_one();
-        }
+        // Under mutex_: the waiter returns only after re-taking it, so
+        // its slot outlives this store and the notify.
+        complete_locked(slot, result);
         lock.unlock();
 
         TRACE_COUNTER("fpga.queue_depth", depth);
@@ -173,78 +148,41 @@ ValidationPipeline::worker_loop()
     }
 }
 
-std::future<core::ValidationResult>
-ValidationPipeline::submit(OffloadRequest request)
-{
-    std::future<core::ValidationResult> future;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        Slot* slot = enqueue_locked(std::move(request));
-        if (slot == nullptr) {
-            // Pipeline stopped: resolve with an explicit retry-later
-            // verdict so callers retry or fall back rather than hang.
-            std::promise<core::ValidationResult> dead;
-            dead.set_value({core::Verdict::kRejected, 0,
-                            obs::AbortReason::kBackpressure});
-            return dead.get_future();
-        }
-        slot->promised = true;
-        slot->promise = std::promise<core::ValidationResult>{};
-        future = slot->promise.get_future();
-    }
-    queue_cv_.notify_one();
-    return future;
-}
-
 core::ValidationResult
-ValidationPipeline::validate(OffloadRequest request)
+ValidationPipeline::validate(OffloadRequest request, Deadline deadline)
 {
+    Slot slot;
+    slot.request = &request;
     std::unique_lock<std::mutex> lock(mutex_);
-    Slot* slot = enqueue_locked(std::move(request));
-    if (slot == nullptr) {
+    ++submitted_;
+    if (closed_) {
         return {core::Verdict::kRejected, 0,
                 obs::AbortReason::kBackpressure};
     }
+    slot.submit_ns = obs::now_ns();
+    push_ring_locked(&slot);
+    if (ring_size_ > high_water_) high_water_ = ring_size_;
     queue_cv_.notify_one();
-    spin_then_wait(lock, slot->cv, [slot] {
-        return slot->done.load(std::memory_order_acquire);
-    });
-    const core::ValidationResult result = slot->result;
-    release_slot_locked(slot);
-    return result;
-}
 
-core::ValidationResult
-ValidationPipeline::validate(OffloadRequest request,
-                             std::chrono::nanoseconds timeout)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    Slot* slot = enqueue_locked(std::move(request));
-    if (slot == nullptr) {
-        return {core::Verdict::kRejected, 0,
-                obs::AbortReason::kBackpressure};
-    }
-    queue_cv_.notify_one();
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    if (!spin_then_wait_until(lock, slot->cv, deadline, [slot] {
-            return slot->done.load(std::memory_order_acquire);
-        })) {
-        // Deadline passed. The deadline is authoritative even if the
-        // verdict landed while this thread was re-acquiring the mutex:
-        // a verdict past the deadline is discarded (see the header
-        // caveat), keeping zero-deadline calls deterministic.
+    const auto done = [&slot] {
+        return slot.done.load(std::memory_order_acquire);
+    };
+    if (deadline == kNoDeadline) {
+        spin_then_wait(lock, slot.cv, done);
+    } else if (!spin_then_wait_until(lock, slot.cv, deadline, done)) {
+        // The deadline is authoritative even if the verdict landed while
+        // this thread was re-acquiring the mutex: a verdict past the
+        // deadline is discarded (see ValidationBackend::validate),
+        // keeping zero-deadline calls deterministic.
         ++timeouts_;
-        if (slot->state == Slot::State::kDone) {
-            release_slot_locked(slot);
+        if (slot.in_ring) {
+            unlink_locked(&slot);
         } else {
-            // The worker recycles the slot when it gets there.
-            slot->state = Slot::State::kAbandoned;
+            slot.cv.wait(lock, done); // the worker still reads the request
         }
         return {core::Verdict::kTimeout, 0, obs::AbortReason::kTimeout};
     }
-    const core::ValidationResult result = slot->result;
-    release_slot_locked(slot);
-    return result;
+    return slot.result;
 }
 
 CounterBag
@@ -305,29 +243,17 @@ ValidationPipeline::signature_config() const
 void
 ValidationPipeline::stop()
 {
-    // Take the backlog away from the worker and resolve every pending
-    // waiter with a typed retry-later abort: waiters must never see a
-    // broken promise, and destruction must not wait for the engine to
-    // chew through a backlog.
+    // Take the backlog away from the worker and answer every queued
+    // waiter with a typed retry-later abort: destruction must not wait
+    // for the engine to chew through a backlog.
     {
         std::lock_guard<std::mutex> lock(mutex_);
         closed_ = true;
         const core::ValidationResult rejected{
             core::Verdict::kRejected, 0, obs::AbortReason::kBackpressure};
         while (ring_size_ > 0) {
-            Slot* slot = pop_ring_locked();
             ++shutdown_aborts_;
-            if (slot->promised) {
-                slot->promise.set_value(rejected);
-                release_slot_locked(slot);
-            } else if (slot->state == Slot::State::kAbandoned) {
-                release_slot_locked(slot);
-            } else {
-                slot->result = rejected;
-                slot->state = Slot::State::kDone;
-                slot->done.store(true, std::memory_order_release);
-                slot->cv.notify_one();
-            }
+            complete_locked(pop_ring_locked(), rejected);
         }
     }
     queue_cv_.notify_all();

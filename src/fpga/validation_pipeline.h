@@ -11,13 +11,9 @@
 /// simulator (src/sim); this class provides the *functional* offload
 /// for the real runtime and its tests.
 ///
-/// The request path is allocation-free in steady state: requests live
-/// in a slab of reusable completion slots (never freed, recycled
-/// through a free list), the queue is a ring of slot pointers, and
-/// synchronous validate() waits on the slot's own condition variable —
-/// no per-request promise/shared-state heap churn. submit() still
-/// hands out a std::future (allocating its shared state); callers on
-/// the hot path should prefer validate().
+/// The request path is allocation-free: each blocked caller owns its
+/// request's completion slot, on its own stack, and the queue is a ring
+/// of slot pointers.
 ///
 /// Both blocking points of a round trip — the idle worker waiting for
 /// a request and the caller waiting for its verdict — spin briefly on
@@ -30,8 +26,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -54,28 +48,15 @@ class ValidationPipeline final : public ValidationBackend
     ValidationPipeline(const ValidationPipeline&) = delete;
     ValidationPipeline& operator=(const ValidationPipeline&) = delete;
 
-    /// Enqueue a request; the future resolves when the engine has
-    /// decided — or, if the pipeline is stopped first, with a
-    /// Verdict::kRejected / kBackpressure result. Never a broken
-    /// promise.
-    std::future<core::ValidationResult> submit(
-        OffloadRequest request) override;
-
-    /// submit() + wait, minus the future: the caller blocks on the
-    /// completion slot directly, so the steady-state round trip
-    /// performs no heap allocation.
-    core::ValidationResult validate(OffloadRequest request) override;
-
-    /// submit() + wait at most @p timeout. On expiry the caller gets a
-    /// Verdict::kTimeout result with obs::AbortReason::kTimeout and the
-    /// "timeout" counter is bumped; the worker may still reach the
-    /// request later, and its verdict is then discarded. NOTE the
-    /// window-consistency caveat: a discarded *commit* verdict still
-    /// occupied a cid in the engine window, so callers that time out
-    /// must abort the transaction (never half-commit) — which is
-    /// exactly what the TM retry loop does.
+    /// Queue @p request and wait for its verdict; the steady-state
+    /// round trip performs no heap allocation. On @p deadline the
+    /// "timeout" counter is bumped and the caller gets kTimeout: a
+    /// request still queued is taken out of the queue, and one already
+    /// in the engine is waited out and its verdict discarded (see
+    /// ValidationBackend::validate). After stop() the result is
+    /// kRejected.
     core::ValidationResult validate(
-        OffloadRequest request, std::chrono::nanoseconds timeout) override;
+        OffloadRequest request, Deadline deadline = kNoDeadline) override;
 
     /// Snapshot of the pipeline's counters (thread-safe): the verdict
     /// counters ("commit" / "abort-cycle" / "window-overflow"), the
@@ -111,49 +92,37 @@ class ValidationPipeline final : public ValidationBackend
         const override;
 
     /// Stop the worker. Requests still queued are NOT drained through
-    /// the engine: their futures resolve immediately with
-    /// Verdict::kRejected / obs::AbortReason::kBackpressure, so no
-    /// waiter ever sees a broken promise and destruction is prompt even
-    /// under a backlog. Idempotent.
+    /// the engine: their callers return at once with
+    /// Verdict::kRejected / obs::AbortReason::kBackpressure, so
+    /// destruction is prompt even under a backlog. Idempotent.
     void stop() override;
 
   private:
-    /// A reusable completion slot. Slots live in slab_ (a deque, so
-    /// addresses are stable), are handed out through free_ and recycled
-    /// forever — the steady-state request path never allocates. Each
-    /// slot starts a cache line, so no two slots share one.
+    /// One request's completion slot, owned by its waiting caller (on
+    /// that caller's stack) and starting a cache line of its own. Once
+    /// popped from the ring, a slot is the worker's until it is done;
+    /// the caller leaves only when its slot is done or back out of the
+    /// ring, so no slot is touched after its caller returns.
     struct alignas(kCacheLine) Slot
     {
-        enum class State : uint8_t
-        {
-            kFree,      ///< on the free list
-            kQueued,    ///< in the ring, awaiting the worker
-            kDone,      ///< result ready; sync waiter will release
-            kAbandoned, ///< sync waiter timed out; worker releases
-        };
-
-        OffloadRequest request;
+        const OffloadRequest* request = nullptr;
         core::ValidationResult result;
         uint64_t submit_ns = 0; ///< enqueue time, for stage attribution
-        State state = State::kFree;
-        /// True when a future was handed out (submit() path): the
-        /// worker resolves the promise and releases the slot itself.
-        bool promised = false;
-        std::promise<core::ValidationResult> promise;
-        std::condition_variable cv; ///< signals kDone to a sync waiter
-        /// Mirrors state == kDone for the waiter's unlocked spin;
-        /// written under mutex_ together with state.
+        bool in_ring = true;    ///< written under mutex_
+        std::condition_variable cv; ///< signals done to the waiter
+        /// Result ready; written under mutex_, read by the waiter's
+        /// unlocked spin too.
         std::atomic<bool> done{false};
     };
 
-    /// Slot and ring management; all *_locked helpers require mutex_.
-    Slot* acquire_slot_locked();
-    void release_slot_locked(Slot* slot);
+    /// Ring management; all *_locked helpers require mutex_.
     void push_ring_locked(Slot* slot);
     Slot* pop_ring_locked();
-    /// Enqueue a request into a fresh slot and update the accounting
-    /// ("submitted", high-water). Returns nullptr when closed.
-    Slot* enqueue_locked(OffloadRequest&& request);
+    /// Take a still-queued @p slot out of the ring, keeping FIFO order.
+    void unlink_locked(const Slot* slot);
+    /// Mark @p slot done with @p result and wake its waiter.
+    static void complete_locked(Slot* slot,
+                                const core::ValidationResult& result);
 
     void worker_loop();
 
@@ -161,14 +130,12 @@ class ValidationPipeline final : public ValidationBackend
     mutable std::mutex engine_mutex_;
     ValidationEngine engine_;
 
-    /// One mutex guards the slab, the free list, the ring, closed_ and
-    /// every externally visible statistic, so stats() snapshots are
+    /// One mutex guards the ring, slot states, closed_ and every
+    /// externally visible statistic, so stats() snapshots are
     /// consistent (see stats()). Aligned so that it never straddles two
     /// cache lines, wherever the pipeline itself is allocated.
     alignas(kCacheLine) mutable std::mutex mutex_;
     std::condition_variable queue_cv_; ///< wakes the worker
-    std::deque<Slot> slab_;            ///< all slots ever created
-    std::vector<Slot*> free_;          ///< recycled slots
     std::vector<Slot*> ring_;          ///< FIFO of queued slots
     size_t ring_head_ = 0;
     size_t ring_size_ = 0;
@@ -181,7 +148,7 @@ class ValidationPipeline final : public ValidationBackend
     alignas(kCacheLine) std::array<uint64_t, core::kVerdictCount>
         verdicts_{}; ///< by worker
     size_t high_water_ = 0;        ///< max observed queue depth
-    uint64_t submitted_ = 0;       ///< requests accepted by submit()
+    uint64_t submitted_ = 0;       ///< requests accepted by validate()
     uint64_t busy_ns_ = 0;         ///< worker time spent inside the engine
     uint64_t shutdown_aborts_ = 0; ///< requests aborted by stop()
     uint64_t timeouts_ = 0;        ///< validate() deadline expiries
@@ -192,7 +159,6 @@ class ValidationPipeline final : public ValidationBackend
     /// at construction instead of per request.
     obs::Gauge& queue_depth_gauge_;
     obs::Gauge& window_occupancy_gauge_;
-    obs::LatencyHistogram& validate_ns_hist_;
     obs::LatencyHistogram& stage_queue_hist_;
     obs::LatencyHistogram& stage_engine_hist_;
     obs::LatencyHistogram& stage_link_hist_;

@@ -314,7 +314,7 @@ ShardRouter::occupancy() const
     size_t total = 0;
     for (const auto& shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->engine.manager().validator().occupancy();
+        total += shard->engine.validator().occupancy();
     }
     return total;
 }
@@ -346,28 +346,11 @@ ShardRouter::engine(uint32_t s) const
     return shards_[s]->engine;
 }
 
-std::future<core::ValidationResult>
-ShardRouter::submit(fpga::OffloadRequest request)
-{
-    std::promise<core::ValidationResult> promise;
-    promise.set_value(process(request));
-    return promise.get_future();
-}
-
 core::ValidationResult
-ShardRouter::validate(fpga::OffloadRequest request)
+ShardRouter::validate(fpga::OffloadRequest request, fpga::Deadline deadline)
 {
-    return process(request);
-}
-
-core::ValidationResult
-ShardRouter::validate(fpga::OffloadRequest request,
-                      std::chrono::nanoseconds timeout)
-{
-    // The router has no queue: the only wait is lock acquisition, which
-    // is bounded by engine passes. Honor an already-expired deadline
-    // (the pipeline contract) without instrumenting the lock path.
-    if (timeout <= std::chrono::nanoseconds::zero()) {
+    if (deadline != fpga::kNoDeadline &&
+        deadline <= std::chrono::steady_clock::now()) {
         submitted_->add();
         verdict_[static_cast<size_t>(core::Verdict::kTimeout)]->add();
         return make_result(core::Verdict::kTimeout);
@@ -408,7 +391,7 @@ ShardRouter::export_metrics(obs::Registry& registry) const
         size_t top_n = 0;
         {
             std::lock_guard<std::mutex> lock(shard.mutex);
-            occupancy = shard.engine.manager().validator().occupancy();
+            occupancy = shard.engine.validator().occupancy();
             top_n = shard.engine.conflict_topk().snapshot(
                 top, kHotKeyExportRanks);
         }

@@ -56,14 +56,13 @@
 /// Threading. The router owns no threads: validation runs in the
 /// calling thread under the touched shards' locks, so concurrent
 /// callers on different shards validate genuinely in parallel — the
-/// throughput multiplier bench/ablation_shards.cc measures. submit()
-/// returns an already-resolved future (never a broken promise;
-/// submissions after stop() resolve kRejected, mirroring
-/// ValidationPipeline). Per-request scratch (the partition split, the
-/// classified ValidationRequest, the lock array) is thread_local, so
-/// any number of caller threads are safe. Single-shard requests take
-/// one shard's mutex; cross-shard requests take their ascending
-/// unique_lock sets (deadlock-free by the total order on shard ids).
+/// throughput multiplier bench/ablation_shards.cc measures. After
+/// stop() validate() returns kRejected at once. Per-request scratch
+/// (the partition split, the classified ValidationRequest, the lock
+/// array) is thread_local, so any number of caller threads are safe.
+/// Single-shard requests take one shard's mutex; cross-shard requests
+/// take their ascending unique_lock sets (deadlock-free by the total
+/// order on shard ids).
 /// svc::Server calls the router from its one service thread; in-process
 /// RococoTm deployments (validation_shards > 1) call it from every
 /// transaction thread at once.
@@ -215,12 +214,13 @@ class ShardRouter final : public fpga::ValidationBackend
     const fpga::ValidationEngine& engine(uint32_t s) const;
 
     // fpga::ValidationBackend
-    std::future<core::ValidationResult> submit(
-        fpga::OffloadRequest request) override;
-    core::ValidationResult validate(fpga::OffloadRequest request) override;
+    /// process() in the calling thread. A deadline already past at the
+    /// call is answered kTimeout without validating; once validation has
+    /// started it runs to the verdict (its only waits are shard locks,
+    /// each held for bounded engine passes).
     core::ValidationResult validate(
         fpga::OffloadRequest request,
-        std::chrono::nanoseconds timeout) override;
+        fpga::Deadline deadline = fpga::kNoDeadline) override;
 
     /// Counters: per-verdict totals ("commit" / "abort-cycle" /
     /// "window-overflow"), "submitted", "timeout", plus the shard.*

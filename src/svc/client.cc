@@ -31,7 +31,7 @@ next_trace_id()
 #endif
 
 using Clock = std::chrono::steady_clock;
-constexpr Clock::time_point kNever = Clock::time_point::max();
+using fpga::kNoDeadline;
 
 core::ValidationResult
 rejected_result()
@@ -227,32 +227,25 @@ ValidationClient::submit(fpga::OffloadRequest request)
     // outstanding and the role is free, take what has arrived.
     if (slab_.size() - free_.size() > 1 &&
         !reading_.load(std::memory_order_relaxed) && !closed_) {
-        lead(lock, nullptr, kNever, false);
+        lead(lock, nullptr, kNoDeadline, false);
     }
     return std::async(std::launch::deferred, [this, slot] {
         std::unique_lock<std::mutex> wait_lock(mutex_);
-        return await(wait_lock, slot, kNever, false);
+        return await(wait_lock, slot, kNoDeadline, false);
     });
 }
 
 core::ValidationResult
-ValidationClient::validate(fpga::OffloadRequest request)
-{
-    const uint64_t enter_ns = obs::now_ns();
-    std::unique_lock<std::mutex> lock(mutex_);
-    Slot* slot = send_locked(std::move(request), 0, enter_ns);
-    if (slot == nullptr) return rejected_result();
-    return await(lock, slot, kNever, true);
-}
-
-core::ValidationResult
 ValidationClient::validate(fpga::OffloadRequest request,
-                           std::chrono::nanoseconds timeout)
+                           fpga::Deadline deadline)
 {
     const uint64_t enter_ns = obs::now_ns();
-    const uint64_t deadline_ns =
-        static_cast<uint64_t>(std::max<int64_t>(timeout.count(), 1));
-    const auto deadline = Clock::now() + timeout;
+    // The wire carries the time left, at least 1 ns; 0 means none.
+    uint64_t deadline_ns = 0;
+    if (deadline != kNoDeadline) {
+        deadline_ns = static_cast<uint64_t>(std::max<int64_t>(
+            std::chrono::nanoseconds(deadline - Clock::now()).count(), 1));
+    }
     std::unique_lock<std::mutex> lock(mutex_);
     Slot* slot = send_locked(std::move(request), deadline_ns, enter_ns);
     if (slot == nullptr) return rejected_result();
@@ -286,7 +279,7 @@ ValidationClient::await(std::unique_lock<std::mutex>& lock, Slot* slot,
             ++waiters_;
             if (!spin) {
                 slot->cv.wait(lock, ready);
-            } else if (deadline == kNever) {
+            } else if (deadline == kNoDeadline) {
                 spin_then_wait(lock, slot->cv, ready);
             } else {
                 spin_then_wait_until(lock, slot->cv, deadline, ready);
@@ -321,7 +314,7 @@ ValidationClient::lead(std::unique_lock<std::mutex>& lock, const Slot* slot,
     }
     while (alive && !landed()) {
         timespec limit{};
-        if (deadline != kNever) {
+        if (deadline != kNoDeadline) {
             const int64_t left = std::chrono::duration_cast<
                 std::chrono::nanoseconds>(deadline - Clock::now()).count();
             if (left <= 0) break;
@@ -329,7 +322,7 @@ ValidationClient::lead(std::unique_lock<std::mutex>& lock, const Slot* slot,
         }
         pollfd pfd{fd_, POLLIN, 0};
         const int ready =
-            ppoll(&pfd, 1, deadline == kNever ? nullptr : &limit, nullptr);
+            ppoll(&pfd, 1, deadline == kNoDeadline ? nullptr : &limit, nullptr);
         if (ready == 0) break; // deadline
         alive = ready > 0 ? pump() : errno == EINTR;
     }

@@ -1,9 +1,9 @@
 /// @file
 /// Client side of the networked validation service: a
 /// fpga::ValidationBackend whose engine lives in the server process
-/// (svc/server.h), so many client processes share one sliding window —
-/// exactly the API the in-process ValidationPipeline offers, which is
-/// what lets RococoTm switch deployment shapes via config.
+/// (svc/server.h), so many client processes share one sliding window.
+/// RococoTm switches deployment shapes via config behind the same
+/// validate() as the in-process backends.
 ///
 /// Concurrency model: there is no reader thread. submit() and
 /// validate() send the request under one mutex (writes to a SOCK_STREAM
@@ -32,29 +32,31 @@
 /// reads what has arrived, so a pipelining caller drains responses as
 /// it goes instead of piling them up against the server's outbound cap.
 ///
-/// Failure contract (mirrors ValidationPipeline): no caller ever sees a
-/// broken promise. Disconnect or stop() resolves every outstanding
-/// request as Verdict::kRejected / AbortReason::kBackpressure, and
-/// submit() on a dead client returns an already-resolved rejected
-/// future. A request whose address sets exceed wire.h's kMaxAddresses
-/// is likewise resolved rejected locally ("oversized") — sending it
-/// would make the server drop the connection as malformed, taking every
-/// outstanding request down with it. validate(timeout) additionally
-/// ships the deadline on the wire (so the server can drop the request
-/// from its queue) and, on local expiry, recycles the slot at once — a
-/// late verdict then matches no slot's id and is discarded. stop()
-/// shuts the socket down to wake a role holder blocked in the kernel and
-/// closes the descriptor only once the role has been dropped.
+/// Failure contract: no caller ever sees a broken promise. Disconnect
+/// or stop() resolves every outstanding request as Verdict::kRejected /
+/// AbortReason::kBackpressure, and submit() on a dead client returns
+/// an already-resolved rejected future. A request whose address sets
+/// exceed wire.h's kMaxAddresses is likewise resolved rejected locally
+/// ("oversized") — sending it would make the server drop the connection
+/// as malformed, taking every outstanding request down with it. A
+/// validate() with a deadline ships the deadline on the wire (so the
+/// server can drop the request from its queue) and, on local expiry,
+/// recycles the slot at once — a late verdict then matches no slot's id
+/// and is discarded. stop() shuts the socket down to wake a role holder
+/// blocked in the kernel and closes the descriptor only once the role
+/// has been dropped.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/spin_wait.h"
 #include "fpga/validation_backend.h"
 #include "fpga/validation_engine.h"
 #include "obs/registry.h"
@@ -82,17 +84,16 @@ class ValidationClient final : public fpga::ValidationBackend
     /// has been observed since.
     bool connected() const;
 
-    /// Sends now; the future is deferred (see the file comment). Each
-    /// must be get()-ed before the client is destroyed, or its slot is
-    /// never recycled.
-    std::future<core::ValidationResult> submit(
-        fpga::OffloadRequest request) override;
-
-    core::ValidationResult validate(fpga::OffloadRequest request) override;
+    /// Pipelined form of validate() for load generators: sends now and
+    /// returns a deferred future (see the file comment) that never
+    /// throws. A caller may keep any number outstanding, but each must
+    /// be get()-ed before the client is destroyed, or its slot is never
+    /// recycled.
+    std::future<core::ValidationResult> submit(fpga::OffloadRequest request);
 
     core::ValidationResult validate(
         fpga::OffloadRequest request,
-        std::chrono::nanoseconds timeout) override;
+        fpga::Deadline deadline = fpga::kNoDeadline) override;
 
     /// Client-side counters: per-verdict counts as seen over the wire,
     /// "submitted", "timeout" (local deadline expiries), "rejected"
@@ -123,8 +124,10 @@ class ValidationClient final : public fpga::ValidationBackend
     static constexpr unsigned kSlotBits = 20;
     static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
 
-    /// A reusable outstanding-request slot (see the file comment).
-    struct Slot
+    /// A reusable outstanding-request slot (see the file comment). Each
+    /// starts a cache line, so a waiter spinning on its done flag is not
+    /// disturbed by the leader completing a neighbour.
+    struct alignas(kCacheLine) Slot
     {
         enum class State : uint8_t
         {
@@ -179,7 +182,8 @@ class ValidationClient final : public fpga::ValidationBackend
     int fd_ = -1;
     bool closed_ = false;
     /// The read role; written under mutex_, read unlocked by spinners.
-    std::atomic<bool> reading_{false};
+    /// Starts a cache line, away from the mutex that every call takes.
+    alignas(kCacheLine) std::atomic<bool> reading_{false};
     unsigned waiters_ = 0; ///< callers spinning or parked in await()
     std::condition_variable role_freed_; ///< stop() waits for the role
     FrameReader inbox_; ///< role holder only

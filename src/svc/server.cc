@@ -68,8 +68,12 @@ Server::Server(const ServerConfig& config)
     }
     if (config_.max_batch == 0) config_.max_batch = 1;
     if (config_.max_out_bytes == 0) config_.max_out_bytes = 1 << 20;
+    // Room for a response to every request the queue may hold: a peer
+    // that reads, but late, is then never mistaken for a non-reader.
     config_.max_out_bytes =
-        std::max(config_.max_out_bytes, kResponseFrameBytes);
+        std::max(config_.max_out_bytes,
+                 std::max<size_t>(config_.max_pending, 1) *
+                     kResponseFrameBytes);
 
     // An armed recorder needs the monitor: its rings are the incident
     // look-back and its SLO rules the recorder's only automatic trigger.

@@ -106,8 +106,8 @@ struct ServerConfig
     size_t max_pending = 1024;
     /// Bound on unsent response bytes buffered per connection. A peer
     /// that submits requests but stops reading responses is closed when
-    /// its buffer would exceed this (clamped to at least one response
-    /// frame; 0 selects the default).
+    /// its buffer would exceed this (raised to at least max_pending
+    /// response frames; 0 selects the default).
     size_t max_out_bytes = 1 << 20;
     /// Flight recorder (obs/flight_recorder.h). recorder.enabled = true
     /// turns it on, and with it the monitor below even when

@@ -298,12 +298,12 @@ RococoTm::attempt(const std::function<void(Tx&)>& body, TxDescriptor& d)
     core::ValidationResult verdict;
     {
         obs::ScopedSpan validate_span("tm", "tx.validate");
-        verdict =
+        const fpga::Deadline deadline =
             config_.validation_timeout_ns > 0
-                ? backend_->validate(
-                      std::move(request),
-                      std::chrono::nanoseconds(config_.validation_timeout_ns))
-                : backend_->validate(std::move(request));
+                ? std::chrono::steady_clock::now() +
+                      std::chrono::nanoseconds(config_.validation_timeout_ns)
+                : fpga::kNoDeadline;
+        verdict = backend_->validate(std::move(request), deadline);
         if (verdict.verdict == core::Verdict::kCommit) {
             validate_span.arg("cid", verdict.cid);
         }

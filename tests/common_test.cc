@@ -13,7 +13,6 @@
 #include "common/cli.h"
 #include "common/csv.h"
 #include "common/histogram.h"
-#include "common/queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -355,89 +354,6 @@ TEST(Barrier, SynchronizesPhases)
     for (auto& thread : threads) thread.join();
     EXPECT_TRUE(ok);
     EXPECT_EQ(phase_counter.load(), 12);
-}
-
-TEST(BlockingQueue, FifoAndClose)
-{
-    BlockingQueue<int> q;
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_FALSE(q.try_pop().has_value());
-    q.push(3);
-    q.close();
-    EXPECT_EQ(q.pop().value(), 3); // drains after close
-    EXPECT_FALSE(q.pop().has_value());
-    EXPECT_FALSE(q.push(4));
-}
-
-TEST(BlockingQueue, CapacityLimit)
-{
-    BlockingQueue<int> q(2);
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
-    EXPECT_FALSE(q.try_push(3));
-    q.pop();
-    EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(BlockingQueue, CloseNowHandsBackUndrainedItems)
-{
-    // Regression for the pipeline shutdown path: items still queued at
-    // close_now() must come back to the caller (who resolves their
-    // promises) and become invisible to consumers — a pop after
-    // close_now returns nullopt immediately instead of draining.
-    BlockingQueue<int> q;
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    const std::deque<int> pending = q.close_now();
-    ASSERT_EQ(pending.size(), 3u);
-    EXPECT_EQ(pending[0], 1);
-    EXPECT_EQ(pending[2], 3);
-    EXPECT_FALSE(q.pop().has_value());
-    EXPECT_FALSE(q.push(4));
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_TRUE(q.close_now().empty()); // idempotent
-}
-
-TEST(BlockingQueue, CloseNowWakesBlockedConsumer)
-{
-    BlockingQueue<int> q;
-    std::thread consumer([&] { EXPECT_FALSE(q.pop().has_value()); });
-    // Give the consumer a chance to block, then close underneath it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_TRUE(q.close_now().empty());
-    consumer.join();
-}
-
-TEST(BlockingQueue, PopBatchDrainsWhatAccumulated)
-{
-    BlockingQueue<int> q;
-    for (int i = 0; i < 10; ++i) q.push(i);
-    const std::vector<int> batch = q.pop_batch(4);
-    ASSERT_EQ(batch.size(), 4u);
-    EXPECT_EQ(batch.front(), 0);
-    EXPECT_EQ(batch.back(), 3);
-    EXPECT_EQ(q.pop_batch(100).size(), 6u);
-    q.close();
-    EXPECT_TRUE(q.pop_batch(4).empty()); // closed-and-empty
-}
-
-TEST(BlockingQueue, CrossThread)
-{
-    BlockingQueue<int> q(4);
-    std::thread producer([&] {
-        for (int i = 0; i < 100; ++i) q.push(i);
-        q.close();
-    });
-    int expected = 0;
-    while (auto v = q.pop()) {
-        EXPECT_EQ(*v, expected++);
-    }
-    EXPECT_EQ(expected, 100);
-    producer.join();
 }
 
 } // namespace

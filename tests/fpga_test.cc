@@ -148,8 +148,7 @@ TEST(Engine, EndToEndCommitAndAbort)
     // Reader of the new version commits.
     OffloadRequest t2{{1}, {2}, 1};
     EXPECT_EQ(engine.process(t2).verdict, core::Verdict::kCommit);
-    EXPECT_EQ(engine.stats().get("commit"), 2u);
-    EXPECT_EQ(engine.stats().get("abort-cycle"), 1u);
+    EXPECT_EQ(engine.next_cid(), 2u); // the abort took no cid
 }
 
 TEST(Engine, AttributesConflictCidOnCycleAbort)
@@ -281,93 +280,122 @@ TEST(Pipeline, StopRejectsFurtherWork)
     EXPECT_EQ(r.reason, obs::AbortReason::kBackpressure);
 }
 
-TEST(Pipeline, StopResolvesPendingFuturesInsteadOfBreakingPromises)
+using Clock = std::chrono::steady_clock;
+
+/// A request that holds the worker far longer than the spin budget:
+/// 2^20 writes keep the engine busy for tens of milliseconds.
+OffloadRequest
+slow_request()
 {
-    // Regression: stop() used to close the queue and let the Items'
-    // promises die unfulfilled, surfacing to waiters as
-    // std::future_error(broken_promise). Now every pending future must
-    // resolve — with the real verdict if the worker got there first,
-    // with a typed rejection otherwise — and never throw.
-    ValidationPipeline pipeline;
-    std::vector<std::future<core::ValidationResult>> futures;
-    for (uint64_t i = 0; i < 512; ++i) {
-        futures.push_back(
-            pipeline.submit({{}, {i}, ~uint64_t{0} >> 1}));
+    OffloadRequest request;
+    for (uint64_t i = 0; i < (uint64_t{1} << 20); ++i) {
+        request.writes.push_back(uint64_t{1} << 41 | i);
     }
-    pipeline.stop(); // races the worker through the backlog
-    uint64_t resolved = 0;
-    for (auto& future : futures) {
-        auto r = future.get(); // must not throw
-        EXPECT_TRUE(r.verdict == core::Verdict::kCommit ||
-                    r.verdict == core::Verdict::kRejected);
-        if (r.verdict == core::Verdict::kRejected) {
-            EXPECT_EQ(r.reason, obs::AbortReason::kBackpressure);
-        }
-        ++resolved;
+    request.snapshot_cid = ~uint64_t{0} >> 1;
+    return request;
+}
+
+/// Occupy @p pipeline's worker: a helper thread validates slow_request()
+/// into @p result, and the call returns once that request is queued, so
+/// every later request queues behind it. Join the thread to finish.
+std::thread
+hold_worker(ValidationPipeline& pipeline, core::ValidationResult* result)
+{
+    const uint64_t before = pipeline.stats().get("submitted");
+    std::thread helper(
+        [&pipeline, result, request = slow_request()]() mutable {
+            *result = pipeline.validate(std::move(request));
+        });
+    while (pipeline.stats().get("submitted") == before) {
+        std::this_thread::yield();
     }
-    EXPECT_EQ(resolved, futures.size());
-    // Accounting covers both paths: engine verdicts + shutdown aborts
-    // == everything submitted.
-    const CounterBag bag = pipeline.stats();
-    EXPECT_EQ(bag.get("commit") + bag.get("shutdown_aborts"),
-              bag.get("submitted"));
+    return helper;
 }
 
 TEST(Pipeline, ValidateWithDeadlineTimesOutUnderBacklog)
 {
-    // Stuff the queue, then ask for a verdict with a zero deadline: the
-    // worker cannot possibly have drained the backlog between submit
-    // and wait, so the caller gets the typed timeout instead of
-    // blocking.
-    ValidationPipeline pipeline;
-    std::vector<std::future<core::ValidationResult>> backlog;
-    for (uint64_t i = 0; i < 2048; ++i) {
-        backlog.push_back(
-            pipeline.submit({{}, {i}, ~uint64_t{0} >> 1}));
+    // With the worker busy, a request whose deadline has already passed
+    // gets the typed timeout instead of blocking, and leaves the queue:
+    // the engine never sees it. A round counts only if the call
+    // returned while the held request was still in the engine (no
+    // commit yet); otherwise the test thread was descheduled past the
+    // whole pass, and the round is rerun.
+    constexpr int kRounds = 5;
+    bool qualified = false;
+    for (int round = 0; round < kRounds && !qualified; ++round) {
+        ValidationPipeline pipeline;
+        core::ValidationResult held;
+        std::thread helper = hold_worker(pipeline, &held);
+        const auto r = pipeline.validate({{}, {99999}, 0}, Clock::now());
+        qualified = pipeline.stats().get("commit") == 0;
+        helper.join();
+        EXPECT_EQ(r.verdict, core::Verdict::kTimeout);
+        EXPECT_EQ(r.reason, obs::AbortReason::kTimeout);
+        EXPECT_EQ(held.verdict, core::Verdict::kCommit);
+        const CounterBag bag = pipeline.stats();
+        EXPECT_EQ(bag.get("timeout"), 1u);
+        if (qualified) {
+            EXPECT_EQ(bag.get("commit"), 1u)
+                << "the timed-out request reached the engine";
+        }
     }
-    auto r = pipeline.validate({{}, {99999}, 0},
-                               std::chrono::nanoseconds(0));
-    EXPECT_EQ(r.verdict, core::Verdict::kTimeout);
-    EXPECT_EQ(r.reason, obs::AbortReason::kTimeout);
-    EXPECT_EQ(pipeline.stats().get("timeout"), 1u);
-    pipeline.stop();
-    for (auto& future : backlog) future.get(); // all resolve, none throw
+    EXPECT_TRUE(qualified) << "in " << kRounds << " rounds the held "
+                           << "request finished before the timed call";
 }
 
 TEST(Pipeline, ValidateWithGenerousDeadlineStillCommits)
 {
     ValidationPipeline pipeline;
     auto r = pipeline.validate({{}, {1}, ~uint64_t{0} >> 1},
-                               std::chrono::seconds(30));
+                               Clock::now() + std::chrono::seconds(30));
     EXPECT_EQ(r.verdict, core::Verdict::kCommit);
     EXPECT_EQ(pipeline.stats().get("timeout"), 0u);
     pipeline.stop();
 }
 
-/// Queue a backlog of @p n disjoint-write requests through submit():
-/// at engine speed it keeps the worker busy far longer than the spin
-/// budget, so a request queued behind it cannot be answered while its
-/// waiter is still spinning.
-std::vector<std::future<core::ValidationResult>>
-submit_backlog(ValidationPipeline& pipeline, uint64_t n)
+TEST(Pipeline, TimeoutInTheEngineBurnsTheCidAndDiscardsTheVerdict)
 {
-    std::vector<std::future<core::ValidationResult>> backlog;
-    backlog.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        backlog.push_back(pipeline.submit({{}, {i}, ~uint64_t{0} >> 1}));
+    // The deadline passes while the engine is processing the request:
+    // the caller waits out that pass and gets kTimeout; the engine's
+    // commit stands (counted, cid burned), and the next caller gets its
+    // own verdict, not the discarded one. A round counts only if the
+    // worker took the request before the deadline (a commit is counted
+    // by the time the call returns); otherwise it was still queued and
+    // is rerun.
+    constexpr int kRounds = 5;
+    bool qualified = false;
+    for (int round = 0; round < kRounds && !qualified; ++round) {
+        ValidationPipeline pipeline;
+        OffloadRequest slow = slow_request();
+        const auto r = pipeline.validate(
+            std::move(slow), Clock::now() + std::chrono::milliseconds(2));
+        EXPECT_EQ(r.verdict, core::Verdict::kTimeout);
+        EXPECT_EQ(r.reason, obs::AbortReason::kTimeout);
+        const CounterBag bag = pipeline.stats();
+        EXPECT_EQ(bag.get("timeout"), 1u);
+        if (bag.get("commit") == 0) continue;
+        qualified = true;
+        EXPECT_EQ(bag.get("commit"), 1u);
+        const auto next =
+            pipeline.validate({{}, {1}, ~uint64_t{0} >> 1});
+        EXPECT_EQ(next.verdict, core::Verdict::kCommit);
+        EXPECT_EQ(next.cid, 1u) << "cid 0 went to the timed-out commit";
+        EXPECT_EQ(pipeline.stats().get("commit"), 2u);
     }
-    return backlog;
+    EXPECT_TRUE(qualified) << "in " << kRounds << " rounds the deadline "
+                           << "passed before the worker took the request";
 }
 
 TEST(Pipeline, VerdictPastTheSpinBudgetArrivesThroughPark)
 {
-    // Sync waiters queued behind a backlog outlast their spin and park;
-    // each must still be woken with its real verdict.
+    // Waiters queued behind a long engine pass outlast their spin and
+    // park; each must still be woken with its real verdict.
     ValidationPipeline pipeline;
-    auto backlog = submit_backlog(pipeline, 4096);
+    const auto start = Clock::now();
+    core::ValidationResult held;
+    std::thread helper = hold_worker(pipeline, &held);
     constexpr int kWaiters = 4;
     std::atomic<int> commits{0};
-    const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> waiters;
     for (int t = 0; t < kWaiters; ++t) {
         waiters.emplace_back([&, t] {
@@ -377,34 +405,34 @@ TEST(Pipeline, VerdictPastTheSpinBudgetArrivesThroughPark)
         });
     }
     for (auto& waiter : waiters) waiter.join();
-    const auto waited = std::chrono::steady_clock::now() - start;
-    EXPECT_GT(waited, kSpinBudget) << "backlog drained within the spin "
-                                      "budget; the park path was not hit";
+    const auto waited = Clock::now() - start;
+    EXPECT_GT(waited, kSpinBudget) << "the engine pass ended within the "
+                                      "spin budget; the park path was "
+                                      "not hit";
     EXPECT_EQ(commits.load(), kWaiters);
-    for (auto& future : backlog) {
-        EXPECT_EQ(future.get().verdict, core::Verdict::kCommit);
-    }
+    helper.join();
+    EXPECT_EQ(held.verdict, core::Verdict::kCommit);
     const CounterBag bag = pipeline.stats();
     EXPECT_EQ(bag.get("commit"), bag.get("submitted"));
-    EXPECT_EQ(bag.get("submitted"), 4096u + kWaiters);
+    EXPECT_EQ(bag.get("submitted"), 1u + kWaiters);
     pipeline.stop();
 }
 
 TEST(Pipeline, StopResolvesSpinningWaitersWithRejection)
 {
     // A round proves the contract only if stop() caught every waiter
-    // still queued. The waiters queue behind the backlog, so
+    // still queued. The waiters queue behind a long engine pass, so
     // shutdown_aborts >= kWaiters means none of them reached the
     // engine. A test thread descheduled long enough lets the worker
-    // drain the backlog first; such a round proves nothing and is
-    // rerun, up to kRounds times.
-    constexpr uint64_t kBacklog = 16384;
+    // finish the pass first; such a round proves nothing and is rerun,
+    // up to kRounds times.
     constexpr int kWaiters = 4;
     constexpr int kRounds = 5;
     bool qualified = false;
     for (int round = 0; round < kRounds && !qualified; ++round) {
         ValidationPipeline pipeline;
-        auto backlog = submit_backlog(pipeline, kBacklog);
+        core::ValidationResult held;
+        std::thread helper = hold_worker(pipeline, &held);
         std::vector<core::ValidationResult> results(kWaiters);
         std::vector<std::thread> waiters;
         for (int t = 0; t < kWaiters; ++t) {
@@ -415,14 +443,13 @@ TEST(Pipeline, StopResolvesSpinningWaitersWithRejection)
             });
         }
         // Stop as soon as every waiter is queued: they are spinning (or
-        // just parked) at the back of a backlog the worker is far from
-        // draining.
-        while (pipeline.stats().get("submitted") < kBacklog + kWaiters) {
+        // just parked) behind a pass the worker is far from finishing.
+        while (pipeline.stats().get("submitted") < 1u + kWaiters) {
             std::this_thread::yield();
         }
         pipeline.stop();
         for (auto& waiter : waiters) waiter.join(); // none hangs
-        for (auto& future : backlog) future.get();
+        helper.join();
         const CounterBag bag = pipeline.stats();
         EXPECT_EQ(bag.get("commit") + bag.get("shutdown_aborts"),
                   bag.get("submitted"));
@@ -434,26 +461,27 @@ TEST(Pipeline, StopResolvesSpinningWaitersWithRejection)
         }
     }
     EXPECT_TRUE(qualified) << "in " << kRounds << " rounds the worker "
-                           << "drained the backlog before stop() each time";
+                           << "finished the pass before stop() each time";
 }
 
 TEST(Pipeline, DeadlineShorterThanTheSpinBudgetIsHonoured)
 {
     // The deadline, not the spin budget, bounds a timed wait: with the
-    // verdict stuck behind a backlog, validate(req, d) must return
-    // kTimeout about d after the call, not after the budget. The
+    // verdict stuck behind a long engine pass, validate(req, d) must
+    // return kTimeout about d after the call, not after the budget. The
     // minimum over a few calls filters out scheduler preemption.
     ValidationPipeline pipeline;
-    auto backlog = submit_backlog(pipeline, 8192);
+    core::ValidationResult held;
+    std::thread helper = hold_worker(pipeline, &held);
     constexpr auto kDeadline = kSpinBudget / 10;
-    auto fastest = std::chrono::steady_clock::duration::max();
+    auto fastest = Clock::duration::max();
     constexpr int kCalls = 5;
     for (int i = 0; i < kCalls; ++i) {
-        const auto start = std::chrono::steady_clock::now();
+        const auto start = Clock::now();
         const auto r = pipeline.validate(
             {{}, {uint64_t{1} << 40 | uint64_t(i)}, ~uint64_t{0} >> 1},
-            kDeadline);
-        fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+            start + kDeadline);
+        fastest = std::min(fastest, Clock::now() - start);
         EXPECT_EQ(r.verdict, core::Verdict::kTimeout);
         EXPECT_EQ(r.reason, obs::AbortReason::kTimeout);
     }
@@ -464,8 +492,8 @@ TEST(Pipeline, DeadlineShorterThanTheSpinBudgetIsHonoured)
         EXPECT_LT(fastest, kSpinBudget);
     }
     EXPECT_EQ(pipeline.stats().get("timeout"), uint64_t(kCalls));
+    helper.join();
     pipeline.stop();
-    for (auto& future : backlog) future.get();
 }
 
 TEST(Pipeline, StatsSnapshotIsConsistentUnderConcurrentReads)

@@ -1,10 +1,10 @@
 /// @file
 /// Allocation canary for the zero-allocation request path: after
-/// warmup (window filled, slot slab and ring grown to their high-water,
+/// warmup (window filled, queue ring grown to its high-water,
 /// counter names interned), a steady-state validation must perform
 /// ZERO heap allocations end to end — classification scratch, the
-/// validator's closure scratch, the pipeline's slot recycling and the
-/// per-verdict counter arrays all reuse what warmup built. The test
+/// validator's closure scratch, the pipeline's caller-owned slots and
+/// the per-verdict counter arrays all reuse what warmup built. The test
 /// binary replaces global operator new/delete with counting versions,
 /// so any regression — a stray std::string, a vector that lost its
 /// reserve, a promise on the sync path — fails deterministically
@@ -135,6 +135,16 @@ workload_request(uint64_t i)
     return request;
 }
 
+/// Request @p i's deadline: none for even i; for odd i one the workload
+/// never reaches, so the timed wait runs without a timeout.
+fpga::Deadline
+deadline_for(uint64_t i)
+{
+    return i % 2 == 0
+               ? fpga::kNoDeadline
+               : std::chrono::steady_clock::now() + std::chrono::seconds(30);
+}
+
 TEST(HotPathAllocation, EngineProcessSteadyStateIsAllocationFree)
 {
     fpga::ValidationEngine engine; // W=64, 512-bit, 4 hashes
@@ -159,18 +169,19 @@ TEST(HotPathAllocation, PipelineValidateSteadyStateIsAllocationFree)
 {
     fpga::ValidationPipeline pipeline;
     uint64_t i = 0;
-    // Warmup: window filled, slot slab and pointer ring at their
-    // high-water, every counter this workload touches interned. The
-    // sync validate() path is sequential, so the slab never grows past
-    // a handful of slots — but give the worker a head start anyway.
+    // Warmup: window filled, pointer ring at its high-water, every
+    // counter this workload touches interned. The validate() path is
+    // sequential, so the ring never holds more than one slot.
     for (; i < 256; ++i) {
         ASSERT_EQ(pipeline.validate(workload_request(i)).verdict,
                   core::Verdict::kCommit);
     }
 
+    // Odd calls take the timed wait (RococoTm's validation_timeout_ns).
     const uint64_t before = allocations();
     for (const uint64_t end = i + 1000; i < end; ++i) {
-        ASSERT_EQ(pipeline.validate(workload_request(i)).verdict,
+        ASSERT_EQ(pipeline.validate(workload_request(i), deadline_for(i))
+                      .verdict,
                   core::Verdict::kCommit);
     }
     EXPECT_EQ(allocations() - before, 0u)
@@ -178,8 +189,9 @@ TEST(HotPathAllocation, PipelineValidateSteadyStateIsAllocationFree)
 }
 
 /// The sharded tier the validation server runs inline: the same
-/// workload through ShardRouter::process() on two shards, so both the
-/// single-shard route and the cross-shard two-phase route stay warm.
+/// workload through ShardRouter::validate() -> process() on two shards,
+/// so both the single-shard route and the cross-shard two-phase route
+/// stay warm.
 /// After warmup (thread_local split and classify scratch grown,
 /// per-shard windows evicting, the in-window commit ledger rings
 /// wrapped), a steady-state call must allocate ZERO times.
@@ -194,13 +206,16 @@ TEST(HotPathAllocation, ShardRouterProcessSteadyStateIsAllocationFree)
                   core::Verdict::kCommit);
     }
 
+    // validate() is process() behind a deadline check; odd calls pass
+    // a deadline.
     const uint64_t before = allocations();
     for (const uint64_t end = i + 1000; i < end; ++i) {
-        ASSERT_EQ(router.process(workload_request(i)).verdict,
+        ASSERT_EQ(router.validate(workload_request(i), deadline_for(i))
+                      .verdict,
                   core::Verdict::kCommit);
     }
     EXPECT_EQ(allocations() - before, 0u)
-        << "router.process() allocated on the steady-state path";
+        << "router.validate() allocated on the steady-state path";
     EXPECT_GT(router.stats().get("shard.cross"), 0u);
 }
 

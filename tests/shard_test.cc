@@ -183,7 +183,7 @@ TEST(ShardRouter, CrossShardForwardDependencyAbortsAndReleases)
     // Release must leave both shards untouched: no commit happened
     // anywhere, global order unchanged, shard 1 still empty.
     EXPECT_EQ(router.global_commits(), 1u);
-    EXPECT_EQ(router.engine(1).manager().validator().occupancy(), 0u);
+    EXPECT_EQ(router.engine(1).validator().occupancy(), 0u);
 
     // The same transaction with a current snapshot has only backward
     // dependencies and goes through both shards atomically.
@@ -191,7 +191,7 @@ TEST(ShardRouter, CrossShardForwardDependencyAbortsAndReleases)
     EXPECT_EQ(r3.verdict, core::Verdict::kCommit);
     EXPECT_EQ(r3.cid, 1u);
     EXPECT_EQ(info.shards_touched, 2u);
-    EXPECT_EQ(router.engine(1).manager().validator().occupancy(), 1u);
+    EXPECT_EQ(router.engine(1).validator().occupancy(), 1u);
 }
 
 TEST(ShardRouter, FenceBlocksSingleShardForwardPastCrossCommit)
@@ -507,8 +507,6 @@ TEST(ShardRouter, StopRejectsFurtherWork)
     auto result = router.validate({{}, {1}, 0});
     EXPECT_EQ(result.verdict, core::Verdict::kRejected);
     EXPECT_EQ(result.reason, obs::AbortReason::kBackpressure);
-    auto future = router.submit({{}, {2}, 0});
-    EXPECT_EQ(future.get().verdict, core::Verdict::kRejected);
 }
 
 TEST(ShardRouter, ExpiredDeadlineIsHonored)
@@ -517,7 +515,7 @@ TEST(ShardRouter, ExpiredDeadlineIsHonored)
     config.shards = 2;
     ShardRouter router(config);
     auto result =
-        router.validate({{}, {1}, 0}, std::chrono::nanoseconds(0));
+        router.validate({{}, {1}, 0}, std::chrono::steady_clock::now());
     EXPECT_EQ(result.verdict, core::Verdict::kTimeout);
     EXPECT_EQ(result.reason, obs::AbortReason::kTimeout);
     EXPECT_EQ(router.stats().get("timeout"), 1u);

@@ -53,6 +53,17 @@ connect_raw(const std::string& path)
     return fd;
 }
 
+/// The server's ledger: requests answered so far, with any verdict, a
+/// deadline expiry or a backpressure rejection.
+uint64_t
+answered_total(const CounterBag& stats)
+{
+    return stats.get("svc.verdict.commit") +
+           stats.get("svc.verdict.abort-cycle") +
+           stats.get("svc.verdict.window-overflow") +
+           stats.get("svc.timeout") + stats.get("svc.rejected");
+}
+
 /// Blocking-read frames from @p fd until one of type @p want arrives
 /// (other types are skipped); nullopt on EOF/error.
 std::optional<std::vector<uint8_t>>
@@ -683,12 +694,7 @@ TEST(SvcServer, ClosesConnectionOnV1Frame)
     const CounterBag stats = server.stats();
     EXPECT_EQ(stats.get("svc.malformed"), 2u);
     EXPECT_EQ(stats.get("svc.requests"), 1u);
-    uint64_t answered = stats.get("svc.timeout") + stats.get("svc.rejected");
-    for (size_t v = 0; v < core::kVerdictCount; ++v) {
-        answered += stats.get(std::string("svc.verdict.") +
-                              core::to_string(static_cast<core::Verdict>(v)));
-    }
-    EXPECT_EQ(answered, stats.get("svc.requests"));
+    EXPECT_EQ(answered_total(stats), stats.get("svc.requests"));
 }
 
 /// An op the server does not serve (here: a response type and an
@@ -776,12 +782,6 @@ recycled_fd_round(bool* queued)
                       sizeof(addr)),
               0);
 
-    const auto answered = [](const CounterBag& stats) {
-        return stats.get("svc.verdict.commit") +
-               stats.get("svc.verdict.abort-cycle") +
-               stats.get("svc.verdict.window-overflow") +
-               stats.get("svc.timeout") + stats.get("svc.rejected");
-    };
     {
         std::vector<uint8_t> bytes;
         for (uint64_t id = 1; id <= kBacklog; ++id) {
@@ -818,7 +818,7 @@ recycled_fd_round(bool* queued)
     // unanswered after B's probe is sent, so the server answers it while
     // B holds the recycled fd number. (The queue is FIFO: the probe is
     // answered only after all of A's backlog.)
-    *queued = answered(server.stats()) < kBacklog;
+    *queued = answered_total(server.stats()) < kBacklog;
 
     // B must receive exactly one response — its own. Any other id is a
     // stale verdict from A's backlog leaking through the recycled fd.
@@ -847,7 +847,7 @@ recycled_fd_round(bool* queued)
     // The dropped backlog is still accounted: answered exactly once.
     const CounterBag stats = server.stats();
     EXPECT_EQ(stats.get("svc.requests"), kBacklog + 1);
-    EXPECT_EQ(answered(stats), stats.get("svc.requests"));
+    EXPECT_EQ(answered_total(stats), stats.get("svc.requests"));
 }
 
 /// A client that disconnects with requests still queued must never see
@@ -913,12 +913,62 @@ TEST(SvcServer, ClosesConnectionsThatStopReadingResponses)
     // Accounting survives the disconnect: every counted request was
     // answered (delivery of the dropped bytes is not part of the
     // invariant).
-    const uint64_t accounted = stats.get("svc.verdict.commit") +
-                               stats.get("svc.verdict.abort-cycle") +
-                               stats.get("svc.verdict.window-overflow") +
-                               stats.get("svc.timeout") +
-                               stats.get("svc.rejected");
-    EXPECT_EQ(accounted, stats.get("svc.requests"));
+    EXPECT_EQ(answered_total(stats), stats.get("svc.requests"));
+}
+
+/// A peer that reads, but late, is no non-reader: whatever
+/// max_out_bytes says, the server buffers a response for every request
+/// its queue may hold. Here the peer reads nothing until its whole
+/// window of max_pending requests is answered.
+TEST(SvcServer, BuffersAResponseForEveryRequestTheQueueMayHold)
+{
+    constexpr size_t kRequests = 20000;
+    ServerConfig config;
+    config.socket_path = test_socket_path("outfloor");
+    config.max_pending = kRequests;
+    config.max_out_bytes = 4096; // far below kRequests responses
+    Server server(config);
+    ASSERT_TRUE(server.start());
+    const int fd = connect_raw(config.socket_path);
+    ASSERT_GE(fd, 0);
+
+    std::vector<uint8_t> bytes;
+    for (size_t i = 0; i < kRequests; ++i) {
+        WireRequest request;
+        request.request_id = i;
+        request.offload.writes = {i};
+        encode_request(bytes, request);
+    }
+    for (size_t off = 0; off < bytes.size();) {
+        const ssize_t n = send(fd, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+        ASSERT_GT(n, 0);
+        off += static_cast<size_t>(n);
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (answered_total(server.stats()) < kRequests &&
+           std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(answered_total(server.stats()), kRequests);
+
+    timeval timeout{5, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    const size_t want = kRequests * kResponseFrameBytes;
+    size_t got = 0;
+    std::vector<uint8_t> buf(1 << 16);
+    while (got < want) {
+        const ssize_t n =
+            recv(fd, buf.data(), std::min(buf.size(), want - got), 0);
+        if (n <= 0) break; // EOF: dropped as a non-reader
+        got += static_cast<size_t>(n);
+    }
+    EXPECT_EQ(got, want);
+    close(fd);
+    server.stop();
+    EXPECT_EQ(server.stats().get("svc.overflow"), 0u);
+    EXPECT_EQ(server.stats().get("svc.rejected"), 0u);
 }
 
 /// An address set beyond kMaxAddresses must be rejected client-side: on
@@ -979,7 +1029,8 @@ TEST(SvcClient, TimesOutLocallyAgainstSilentServer)
     ASSERT_GE(conn, 0);
 
     auto result =
-        client.validate({{}, {1}, 0}, std::chrono::milliseconds(20));
+        client.validate({{}, {1}, 0}, std::chrono::steady_clock::now() +
+                                          std::chrono::milliseconds(20));
     EXPECT_EQ(result.verdict, core::Verdict::kTimeout);
     EXPECT_EQ(result.reason, obs::AbortReason::kTimeout);
     EXPECT_EQ(client.stats().get("timeout"), 1u);
@@ -1184,7 +1235,9 @@ TEST(SvcClient, ExpiredLeaderHandsTheReadRoleOn)
     std::atomic<bool> leader_done{false};
     core::ValidationResult timed;
     std::thread leader([&] {
-        timed = client.validate({{}, {1}, 0}, std::chrono::milliseconds(200));
+        timed = client.validate({{}, {1}, 0},
+                                std::chrono::steady_clock::now() +
+                                    std::chrono::milliseconds(200));
         leader_done = true;
     });
     const auto first = server.read_requests(1);
@@ -1307,7 +1360,7 @@ TEST(SvcClient, HandoffReachesTheWaiterBehindAnExpiredOne)
     constexpr auto kTimedDeadline = std::chrono::milliseconds(300);
     const auto timed_start = std::chrono::steady_clock::now();
     std::thread timed_waiter([&] {
-        timed = client.validate({{}, {2}, 0}, kTimedDeadline);
+        timed = client.validate({{}, {2}, 0}, timed_start + kTimedDeadline);
     });
     ASSERT_EQ(server.read_requests(1).size(), 1u);
     std::atomic<bool> untimed_done{false};
@@ -1322,7 +1375,9 @@ TEST(SvcClient, HandoffReachesTheWaiterBehindAnExpiredOne)
     fpga::OffloadRequest big;
     for (uint64_t a = 0; a < (uint64_t{1} << 17); ++a) big.reads.push_back(a);
     std::thread sender([&] {
-        blocked = client.validate(std::move(big), std::chrono::milliseconds(1));
+        blocked = client.validate(std::move(big),
+                                  std::chrono::steady_clock::now() +
+                                      std::chrono::milliseconds(1));
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     server.commit_all(lead_id); // the leader wakes and queues on the mutex
@@ -1399,7 +1454,8 @@ TEST(SvcClient, DeadlineShorterThanTheSpinBudgetIsHonoured)
     constexpr int kCalls = 5;
     for (int i = 0; i < kCalls; ++i) {
         const auto start = std::chrono::steady_clock::now();
-        const auto r = client.validate({{}, {uint64_t(i)}, 0}, kDeadline);
+        const auto r =
+            client.validate({{}, {uint64_t(i)}, 0}, start + kDeadline);
         fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
         EXPECT_EQ(r.verdict, core::Verdict::kTimeout);
         EXPECT_EQ(r.reason, obs::AbortReason::kTimeout);
@@ -1509,11 +1565,7 @@ TEST(SvcSmoke, ConcurrentClientsAccountingSums)
     server.stop();
     const CounterBag stats = server.stats();
     const uint64_t requests = stats.get("svc.requests");
-    const uint64_t accounted = stats.get("svc.verdict.commit") +
-                               stats.get("svc.verdict.abort-cycle") +
-                               stats.get("svc.verdict.window-overflow") +
-                               stats.get("svc.timeout") +
-                               stats.get("svc.rejected");
+    const uint64_t accounted = answered_total(stats);
     EXPECT_EQ(requests, kClients * kPerClient);
     EXPECT_EQ(accounted, requests);
 
@@ -1609,12 +1661,7 @@ TEST(SvcStats, SnapshotSucceedsUnderSaturatedQueueWithoutPerturbation)
     for (int i = 0; i < 20000 && !saw_backlog; ++i) {
         const CounterBag mid = server.stats();
         const uint64_t received = mid.get("svc.requests");
-        const uint64_t answered = mid.get("svc.verdict.commit") +
-                                  mid.get("svc.verdict.abort-cycle") +
-                                  mid.get("svc.verdict.window-overflow") +
-                                  mid.get("svc.timeout") +
-                                  mid.get("svc.rejected");
-        saw_backlog = answered < received;
+        saw_backlog = answered_total(mid) < received;
         if (!saw_backlog) {
             std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
@@ -1644,12 +1691,7 @@ TEST(SvcStats, SnapshotSucceedsUnderSaturatedQueueWithoutPerturbation)
     const CounterBag stats = server.stats();
     EXPECT_EQ(stats.get("svc.snapshot"), 1u);
     EXPECT_EQ(stats.get("svc.requests"), total_flooded);
-    const uint64_t accounted = stats.get("svc.verdict.commit") +
-                               stats.get("svc.verdict.abort-cycle") +
-                               stats.get("svc.verdict.window-overflow") +
-                               stats.get("svc.timeout") +
-                               stats.get("svc.rejected");
-    EXPECT_EQ(accounted, stats.get("svc.requests"));
+    EXPECT_EQ(answered_total(stats), stats.get("svc.requests"));
 }
 
 /// One kSnapshot reply carries the three operator sections: the
@@ -1815,12 +1857,7 @@ TEST(SvcStats, SeriesFloodDoesNotPerturbAccounting)
     const CounterBag stats = server.stats();
     EXPECT_EQ(stats.get("svc.snapshot"), kPolls);
     EXPECT_EQ(stats.get("svc.requests"), kRequests);
-    const uint64_t accounted = stats.get("svc.verdict.commit") +
-                               stats.get("svc.verdict.abort-cycle") +
-                               stats.get("svc.verdict.window-overflow") +
-                               stats.get("svc.timeout") +
-                               stats.get("svc.rejected");
-    EXPECT_EQ(accounted, stats.get("svc.requests"));
+    EXPECT_EQ(answered_total(stats), stats.get("svc.requests"));
 }
 
 /// v2 responses carry the server's stage breakdown; the client folds it
