@@ -1,25 +1,22 @@
 /// @file
-/// Real-thread validation pipeline: the software stand-in for the FPGA
-/// in the live ROCoCoTM runtime.
+/// Real-thread validation pipeline: the in-process stand-in for the FPGA.
+/// A dedicated worker thread owns a ValidationEngine and serves the
+/// requests executing threads post, as the hardware pulls request
+/// cachelines (Fig. 6 (b)). It shares the CPU with the executors, so its
+/// throughput is not the paper's; timing figures come from src/sim.
 ///
-/// A dedicated worker thread owns a ValidationEngine and drains the
-/// pull queue in arrival order, exactly like the hardware pipeline
-/// drains cachelines (Fig. 6 (b)). Executing threads submit requests
-/// and block on the verdict. Unlike the hardware, the worker shares the
-/// CPU with the executors, so its *throughput* is not representative —
-/// the paper-shaped timing figures come from the discrete-event
-/// simulator (src/sim); this class provides the *functional* offload
-/// for the real runtime and its tests.
-///
-/// The request path is allocation-free: each blocked caller owns its
-/// request's completion slot, on its own stack, and the queue is a ring
-/// of slot pointers.
-///
-/// Both blocking points of a round trip — the idle worker waiting for
-/// a request and the caller waiting for its verdict — spin briefly on
-/// an atomic flag before parking on their condition variable
-/// (common/spin_wait.h), so a verdict that lands within the spin budget
-/// costs no futex wake-up of a sleeping thread.
+/// Requests travel through publication records, one cache line each. A
+/// caller posts a pointer to its completion slot (on its own stack) into
+/// a free record with one compare-and-swap and spins on the slot: no
+/// lock, and on a record of its own no line another caller writes. The
+/// worker sweeps the records round-robin from the one it served last, so
+/// a posted request is served within one sweep, and writes the verdict
+/// into the slot. Nothing on the path allocates. Concurrently pending
+/// requests reach the engine in sweep order, not posting order; cids
+/// follow engine order, and any order of concurrently pending requests
+/// is a valid arrival order for Fig. 6 (b). Both waits, the idle
+/// worker's and the caller's, spin before they park
+/// (common/spin_wait.h); mutex_ serves only parking and stop().
 #pragma once
 
 #include <array>
@@ -29,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "common/spin_wait.h"
 #include "core/sliding_window.h"
@@ -42,121 +38,106 @@ namespace rococo::fpga {
 class ValidationPipeline final : public ValidationBackend
 {
   public:
+    /// Publication records. A caller starts at its thread's home record
+    /// and probes on past taken ones; callers beyond kRecords pending
+    /// wait for a record to free.
+    static constexpr size_t kRecords = 64;
+
     explicit ValidationPipeline(const EngineConfig& config = {});
     ~ValidationPipeline() override;
 
     ValidationPipeline(const ValidationPipeline&) = delete;
     ValidationPipeline& operator=(const ValidationPipeline&) = delete;
 
-    /// Queue @p request and wait for its verdict; the steady-state
-    /// round trip performs no heap allocation. On @p deadline the
+    /// Post @p request and wait for its verdict. On @p deadline the
     /// "timeout" counter is bumped and the caller gets kTimeout: a
-    /// request still queued is taken out of the queue, and one already
-    /// in the engine is waited out and its verdict discarded (see
-    /// ValidationBackend::validate). After stop() the result is
-    /// kRejected.
+    /// request the worker has not taken yet is taken back, and one in
+    /// the engine is waited out and its verdict discarded (see
+    /// ValidationBackend::validate). After stop() the result is kRejected.
     core::ValidationResult validate(
         OffloadRequest request, Deadline deadline = kNoDeadline) override;
 
-    /// Snapshot of the pipeline's counters (thread-safe): the verdict
-    /// counters ("commit" / "abort-cycle" / "window-overflow"), the
-    /// number of requests accepted ("submitted"), requests aborted by
-    /// stop() before the engine saw them ("shutdown_aborts"), caller
-    /// deadline expiries ("timeout"), and the queue's observed
-    /// high-water mark ("queue_high_water") — the back-pressure the
-    /// paper avoids by keeping the pipeline free of stalls (§5.1).
-    ///
-    /// Consistency guarantee: every field is written and read under one
-    /// mutex, so a snapshot is internally consistent — the verdict
-    /// counters never exceed "submitted" (the difference is requests
-    /// still in flight), and "queue_high_water" covers at least every
-    /// submission the counters include. (Previously the verdict
-    /// counters and the high-water mark were read under different
-    /// synchronization, so a concurrent reader could see a high-water
-    /// mark from a later submission batch than the verdicts.)
+    /// Thread-safe counters: the verdicts ("commit" / "abort-cycle" /
+    /// "window-overflow"), "submitted", requests stop() aborted before
+    /// the engine ("shutdown_aborts"), deadline expiries ("timeout"),
+    /// and the most requests found posted at once ("queue_high_water"),
+    /// the back-pressure the paper avoids (§5.1). Requests count as
+    /// submitted before the worker can take them and verdicts are read
+    /// first, so verdicts never exceed "submitted", and the high-water
+    /// mark is at least 1 once any verdict is counted.
     CounterBag stats() const override;
 
-    /// Export pipeline metrics into @p registry: verdict counters
-    /// ("fpga.verdict.<verdict>"), "fpga.submitted", "fpga.busy_ns",
-    /// and occupancy gauges ("fpga.queue_high_water",
-    /// "fpga.window_occupancy"). While a TelemetrySession is active the
-    /// worker additionally feeds per-stage histograms into the global
-    /// registry — fpga.stage.{queue,engine,link} — the local-backend
-    /// mirror of the service's svc.stage.* breakdown, so local vs.
-    /// remote validation cost decompose on the same axes (link is the
-    /// modeled CCI round trip in both).
+    /// Export "fpga.verdict.<verdict>", "fpga.submitted", "fpga.busy_ns"
+    /// and the gauges "fpga.queue_high_water" / "fpga.window_occupancy"
+    /// into @p registry. While a TelemetrySession is active the worker
+    /// also feeds fpga.stage.{queue,engine,link} in the global registry,
+    /// the local mirror of the service's svc.stage.* breakdown (link is
+    /// the modeled CCI round trip in both).
     void export_metrics(obs::Registry& registry) const override;
 
     /// Signature geometry shared with CPU-side eager detection.
     std::shared_ptr<const sig::SignatureConfig> signature_config()
         const override;
 
-    /// Stop the worker. Requests still queued are NOT drained through
-    /// the engine: their callers return at once with
-    /// Verdict::kRejected / obs::AbortReason::kBackpressure, so
-    /// destruction is prompt even under a backlog. Idempotent.
+    /// Stop the worker. Requests still posted are NOT drained through
+    /// the engine: once the worker's current pass ends, their callers
+    /// get kRejected / kBackpressure. Idempotent.
     void stop() override;
 
   private:
-    /// One request's completion slot, owned by its waiting caller (on
-    /// that caller's stack) and starting a cache line of its own. Once
-    /// popped from the ring, a slot is the worker's until it is done;
-    /// the caller leaves only when its slot is done or back out of the
-    /// ring, so no slot is touched after its caller returns.
+    /// Slot states. kParked is set by the waiter, under mutex_, before
+    /// it parks; the completer then hands kDone over under mutex_.
+    enum : uint8_t { kWaiting, kParked, kDone };
+
+    /// One request's completion slot, on its caller's stack. Whoever
+    /// takes it out of its record (the worker or stop()) owns it until
+    /// kDone; the caller leaves only once it is done or taken back.
     struct alignas(kCacheLine) Slot
     {
         const OffloadRequest* request = nullptr;
+        uint64_t submit_ns = 0; ///< post time while telemetry is on
         core::ValidationResult result;
-        uint64_t submit_ns = 0; ///< enqueue time, for stage attribution
-        bool in_ring = true;    ///< written under mutex_
-        std::condition_variable cv; ///< signals done to the waiter
-        /// Result ready; written under mutex_, read by the waiter's
-        /// unlocked spin too.
-        std::atomic<bool> done{false};
+        std::atomic<uint8_t> state{kWaiting};
+        std::condition_variable cv; ///< wakes a parked waiter
     };
 
-    /// Ring management; all *_locked helpers require mutex_.
-    void push_ring_locked(Slot* slot);
-    Slot* pop_ring_locked();
-    /// Take a still-queued @p slot out of the ring, keeping FIFO order.
-    void unlink_locked(const Slot* slot);
-    /// Mark @p slot done with @p result and wake its waiter.
-    static void complete_locked(Slot* slot,
-                                const core::ValidationResult& result);
+    /// The slot posted (null when free); requests counted at this home.
+    struct alignas(kCacheLine) Record
+    {
+        std::atomic<Slot*> slot{nullptr};
+        std::atomic<uint64_t> posts{0};
+    };
 
     void worker_loop();
+    void serve(Slot& slot, size_t depth);
+    /// Write @p result into @p slot and hand it to its waiter.
+    void complete(Slot& slot, const core::ValidationResult& result);
+    /// Bump a mutex_-guarded counter and return @p result.
+    core::ValidationResult count(uint64_t& counter,
+                                 const core::ValidationResult& result);
 
-    EngineConfig config_;
-    mutable std::mutex engine_mutex_;
-    ValidationEngine engine_;
+    ValidationEngine engine_; ///< the worker's alone
 
-    /// One mutex guards the ring, slot states, closed_ and every
-    /// externally visible statistic, so stats() snapshots are
-    /// consistent (see stats()). Aligned so that it never straddles two
-    /// cache lines, wherever the pipeline itself is allocated.
+    std::array<Record, kRecords> records_;
+
+    /// Read on every post; written only by stop() and a parking worker.
+    alignas(kCacheLine) std::atomic<bool> closed_{false};
+    std::atomic<bool> idle_{false}; ///< posters must wake the worker
+
+    /// Written by the worker alone, before it hands a verdict over.
+    alignas(kCacheLine) std::array<std::atomic<uint64_t>,
+                                   core::kVerdictCount> verdicts_{};
+    std::atomic<uint64_t> high_water_{0};
+    std::atomic<uint64_t> busy_ns_{0}; ///< worker time inside the engine
+    std::atomic<uint64_t> occupancy_{0}; ///< window slots in use
+
+    /// Guards parking and the rare-path counters below.
     alignas(kCacheLine) mutable std::mutex mutex_;
-    std::condition_variable queue_cv_; ///< wakes the worker
-    std::vector<Slot*> ring_;          ///< FIFO of queued slots
-    size_t ring_head_ = 0;
-    size_t ring_size_ = 0;
-    /// Mirror of ring_size_ for the idle worker's unlocked spin; like
-    /// closed_, written only under mutex_. The two sit on a cache line
-    /// of their own (see kCacheLine).
-    alignas(kCacheLine) std::atomic<size_t> queued_{0};
-    std::atomic<bool> closed_{false};
+    std::condition_variable work_cv_; ///< wakes the idle worker
+    uint64_t shutdown_aborts_ = 0;    ///< requests aborted by stop()
+    uint64_t timeouts_ = 0;           ///< validate() deadline expiries
 
-    alignas(kCacheLine) std::array<uint64_t, core::kVerdictCount>
-        verdicts_{}; ///< by worker
-    size_t high_water_ = 0;        ///< max observed queue depth
-    uint64_t submitted_ = 0;       ///< requests accepted by validate()
-    uint64_t busy_ns_ = 0;         ///< worker time spent inside the engine
-    uint64_t shutdown_aborts_ = 0; ///< requests aborted by stop()
-    uint64_t timeouts_ = 0;        ///< validate() deadline expiries
-
-    /// Telemetry handles hoisted out of the worker loop: Registry
-    /// lookup takes a mutex, and references stay valid for the
-    /// registry's lifetime (see obs/registry.h), so resolve them once
-    /// at construction instead of per request.
+    /// Telemetry handles, resolved once (a Registry lookup locks).
     obs::Gauge& queue_depth_gauge_;
     obs::Gauge& window_occupancy_gauge_;
     obs::LatencyHistogram& stage_queue_hist_;

@@ -275,7 +275,7 @@ void
 Server::loop()
 {
     std::vector<pollfd> fds;
-    std::vector<int> readable, unsent;
+    std::vector<int> readable, unsent, finished;
     // Connection entries start after the fixed fds: listen and wake.
     constexpr size_t kFirstConn = 2;
     while (running_) {
@@ -283,7 +283,7 @@ Server::loop()
         fds.push_back({listen_fd_, POLLIN, 0});
         fds.push_back({wake_fds_[0], POLLIN, 0});
         for (const auto& [fd, conn] : connections_) {
-            short events = POLLIN;
+            short events = conn.eof ? 0 : POLLIN;
             if (conn.out_off < conn.out.size()) events |= POLLOUT;
             fds.push_back({fd, events, 0});
         }
@@ -332,6 +332,19 @@ Server::loop()
             if (conn.out_off < conn.out.size()) unsent.push_back(fd);
         }
         for (int fd : unsent) flush(fd);
+        // A half-closed connection closes once its last request is
+        // answered and the answer is sent.
+        finished.clear();
+        for (const auto& [fd, conn] : connections_) {
+            const auto queued = [&](const Pending& p) {
+                return p.fd == fd && p.generation == conn.generation;
+            };
+            if (conn.eof && conn.out_off == conn.out.size() &&
+                std::none_of(pending_.begin(), pending_.end(), queued)) {
+                finished.push_back(fd);
+            }
+        }
+        for (int fd : finished) close_client(fd);
         queue_depth_.set(static_cast<double>(pending_.size()));
         if (monitor_) monitor_->tick(obs::now_ns());
     }
@@ -375,8 +388,15 @@ Server::read_client(int fd)
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        close_client(fd); // EOF or hard error
-        return;
+        if (n < 0) {
+            close_client(fd); // hard error
+            return;
+        }
+        // EOF: the peer may only have shut down its sending side, so
+        // decode and answer what it sent; loop() closes the connection
+        // once those answers are sent (flush() sooner if they back up).
+        conn.eof = true;
+        break;
     }
 
     const uint64_t now = obs::now_ns();
@@ -626,7 +646,12 @@ Server::flush(int fd)
             conn.out_off += static_cast<size_t>(n);
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            // A half-closed peer whose answers back up is not reading
+            // them; holding its backlog would only pin the connection.
+            if (conn.eof) close_client(fd);
+            return;
+        }
         close_client(fd); // client gone mid-response
         return;
     }

@@ -167,6 +167,9 @@ class Server
         FrameReader reader;
         std::vector<uint8_t> out; ///< encoded responses not yet sent
         size_t out_off = 0;       ///< bytes of out already sent
+        /// The peer half-closed: no more requests come, but the ones it
+        /// sent are answered before the connection closes.
+        bool eof = false;
     };
 
     /// A well-formed request waiting for the engine.

@@ -15,6 +15,7 @@
 #include "fpga/resource_model.h"
 #include "fpga/validation_engine.h"
 #include "fpga/validation_pipeline.h"
+#include "history_oracle.h"
 #include "obs/topk.h"
 
 namespace rococo::fpga {
@@ -548,6 +549,130 @@ TEST(Pipeline, StatsSnapshotIsConsistentUnderConcurrentReads)
               uint64_t(kSubmitters) * kPerThread);
     EXPECT_GE(final_bag.get("queue_high_water"), 1u);
     pipeline.stop();
+}
+
+TEST(Pipeline, ConcurrentCallerHistoryPassesSerializabilityOracle)
+{
+    // The default in-process deployment under the graph oracle: four
+    // callers race validate() through the publication records, so the
+    // worker serves their requests in sweep order, not posting order
+    // (see tests/history_oracle.h).
+    ValidationPipeline pipeline;
+    std::vector<oracle::HistoryTxn> txns =
+        oracle::random_history(6000, 96, 2027);
+    oracle::run_racing_callers(
+        txns, 4, [&] { return pipeline.stats().get("commit"); },
+        [&](const OffloadRequest& offload) {
+            return pipeline.validate(offload);
+        });
+    uint64_t commits = 0;
+    for (const oracle::HistoryTxn& txn : txns) {
+        ASSERT_TRUE(txn.resolved);
+        commits += txn.committed ? 1 : 0;
+    }
+    const CounterBag stats = pipeline.stats();
+    EXPECT_EQ(stats.get("commit"), commits);
+    EXPECT_GT(stats.get("abort-cycle"), 0u);
+    const auto verdict = oracle::check_history(txns);
+    EXPECT_TRUE(verdict.serializable)
+        << "concurrent-caller history admitted a dependency cycle of length "
+        << (verdict.cycle.empty() ? 0 : verdict.cycle.size() - 1);
+}
+
+TEST(Pipeline, RacingCallersWithDeadlinesOverfullRecordsAndStopBalance)
+{
+    // More callers than publication records mix untimed calls, deadlines
+    // shorter than the spin budget, zero and generous deadlines; a slow
+    // request now and then holds the worker while the others fill every
+    // record and probe for a free one. stop() lands mid-run. Every call
+    // returns, each is accounted for exactly once, and no cid is handed
+    // out twice.
+    ValidationPipeline pipeline;
+    constexpr size_t kCallers = ValidationPipeline::kRecords + 8;
+    constexpr size_t kCalls = 60;
+    std::atomic<size_t> finished{0};
+    struct Tally
+    {
+        uint64_t verdicts = 0, timeouts = 0, rejected = 0;
+        std::vector<uint64_t> cids;
+        Clock::duration longest{};
+    };
+    std::vector<Tally> tallies(kCallers);
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t] {
+            Xoshiro256 rng(t + 1);
+            Tally& tally = tallies[t];
+            for (size_t i = 0; i < kCalls; ++i) {
+                OffloadRequest request;
+                if (t == 0 && i % 10 == 0) {
+                    // Holds the worker while the other callers pile up.
+                    for (uint64_t a = 0; a < (uint64_t{1} << 18); ++a) {
+                        request.writes.push_back(uint64_t{1} << 41 | a);
+                    }
+                }
+                request.reads.push_back(rng.below(64));
+                request.writes.push_back(uint64_t{1} << 40 | t << 20 | i);
+                request.snapshot_cid = rng.below(2) ? ~uint64_t{0} >> 1 : 0;
+                const auto start = Clock::now();
+                Deadline deadline = kNoDeadline;
+                switch (rng.below(4)) {
+                case 0: deadline = start + kSpinBudget / 10; break;
+                case 1: deadline = start; break;
+                case 2:
+                    deadline = start + std::chrono::milliseconds(50);
+                    break;
+                default: break;
+                }
+                const auto r = pipeline.validate(std::move(request), deadline);
+                tally.longest = std::max(tally.longest, Clock::now() - start);
+                if (r.verdict == core::Verdict::kTimeout) {
+                    ++tally.timeouts;
+                } else if (r.verdict == core::Verdict::kRejected) {
+                    ++tally.rejected;
+                } else {
+                    ++tally.verdicts;
+                    if (r.verdict == core::Verdict::kCommit) {
+                        tally.cids.push_back(r.cid);
+                    }
+                }
+                finished.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    while (finished.load() < kCallers * kCalls / 2) {
+        std::this_thread::yield();
+    }
+    pipeline.stop();
+    for (auto& caller : callers) caller.join();
+
+    Tally sum;
+    for (const Tally& tally : tallies) {
+        sum.verdicts += tally.verdicts;
+        sum.timeouts += tally.timeouts;
+        sum.rejected += tally.rejected;
+        sum.cids.insert(sum.cids.end(), tally.cids.begin(), tally.cids.end());
+        sum.longest = std::max(sum.longest, tally.longest);
+    }
+    const CounterBag bag = pipeline.stats();
+    EXPECT_EQ(bag.get("submitted"), uint64_t{kCallers * kCalls});
+    EXPECT_EQ(bag.get("submitted"),
+              sum.verdicts + bag.get("timeout") + bag.get("shutdown_aborts"));
+    EXPECT_EQ(bag.get("timeout"), sum.timeouts);
+    EXPECT_EQ(bag.get("shutdown_aborts"), sum.rejected);
+    EXPECT_GT(sum.rejected, 0u) << "stop() landed after every call";
+    EXPECT_GT(sum.timeouts, 0u);
+    // The engine's verdicts are the delivered ones plus those discarded
+    // at a deadline; a discarded commit still burned its cid.
+    const uint64_t engine = bag.get("commit") + bag.get("abort-cycle") +
+                            bag.get("window-overflow");
+    EXPECT_GE(engine, sum.verdicts);
+    EXPECT_LE(engine - sum.verdicts, sum.timeouts);
+    std::sort(sum.cids.begin(), sum.cids.end());
+    EXPECT_EQ(std::adjacent_find(sum.cids.begin(), sum.cids.end()),
+              sum.cids.end())
+        << "a cid was handed to two commits";
+    EXPECT_LT(sum.longest, std::chrono::seconds(10));
 }
 
 TEST(ResourceModel, ReproducesPaperTable)

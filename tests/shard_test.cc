@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <thread>
 #include <vector>
 
@@ -19,7 +18,7 @@
 #include "cc/rococo_cc.h"
 #include "cc/trace_generator.h"
 #include "common/rng.h"
-#include "graph/serializability.h"
+#include "history_oracle.h"
 #include "obs/registry.h"
 #include "shard/partition.h"
 #include "shard/router.h"
@@ -348,76 +347,21 @@ TEST(ShardRouter, ConcurrentCallerHistoryPassesSerializabilityOracle)
     // The oracle re-proof under the in-process multi-threaded
     // deployment (RococoTm with validation_shards > 1): four caller
     // threads race ShardRouter::process() on four shards instead of the
-    // sequential replay driver. Each request's snapshot is captured
-    // right before its call, so by the time it validates, other
-    // callers' commits may have landed and genuine forward
-    // dependencies arise. Afterwards the exact multiversion dependency
-    // graph of the committed history — version order per address is
-    // global-cid order, a reader observes the newest version with
-    // cid < its snapshot — must be acyclic: the same src/graph oracle
-    // the sequential replays pass, rebuilt for the interleaved commit
-    // sequence the callers produce.
+    // sequential replay driver (see tests/history_oracle.h).
     ShardConfig config;
     config.shards = 4;
     ShardRouter router(config);
 
-    struct Rec
-    {
-        std::vector<uint64_t> reads;
-        std::vector<uint64_t> writes;
-        uint64_t snapshot = 0;
-        bool committed = false;
-        bool resolved = false;
-        uint64_t cid = 0;
-    };
-    constexpr size_t kTxns = 6000;
-    constexpr size_t kThreads = 4;
-    constexpr uint64_t kLocations = 96; // few: force real conflicts
-    std::vector<Rec> recs(kTxns);
-    Xoshiro256 rng(2026);
-    for (Rec& rec : recs) {
-        for (unsigned r = unsigned(rng.below(3)); r > 0; --r) {
-            rec.reads.push_back(rng.below(kLocations));
-        }
-        for (unsigned w = 1 + unsigned(rng.below(2)); w > 0; --w) {
-            rec.writes.push_back(rng.below(kLocations));
-        }
-        // The graph below indexes writers per address; a duplicate in
-        // one transaction would self-chain, so dedupe the footprint.
-        for (auto* set : {&rec.reads, &rec.writes}) {
-            std::sort(set->begin(), set->end());
-            set->erase(std::unique(set->begin(), set->end()), set->end());
-        }
-    }
-
-    // Each caller owns every kThreads-th record, so the records need
-    // no lock.
-    std::vector<std::thread> callers;
-    for (size_t t = 0; t < kThreads; ++t) {
-        callers.emplace_back([&, t] {
-            for (size_t i = t; i < kTxns; i += kThreads) {
-                Rec& rec = recs[i];
-                fpga::OffloadRequest offload;
-                for (uint64_t a : rec.reads) offload.reads.push_back(a);
-                for (uint64_t a : rec.writes) offload.writes.push_back(a);
-                rec.snapshot = router.global_commits();
-                offload.snapshot_cid = rec.snapshot;
-                // Stand-in for the transaction body between begin and
-                // commit: lets other callers commit past the snapshot
-                // even when the callers share one CPU.
-                std::this_thread::yield();
-                const core::ValidationResult result =
-                    router.process(offload);
-                rec.resolved = true;
-                rec.committed = result.verdict == core::Verdict::kCommit;
-                rec.cid = result.cid;
-            }
+    std::vector<oracle::HistoryTxn> recs =
+        oracle::random_history(6000, 96, 2026);
+    oracle::run_racing_callers(
+        recs, 4, [&] { return router.global_commits(); },
+        [&](const fpga::OffloadRequest& offload) {
+            return router.process(offload);
         });
-    }
-    for (auto& caller : callers) caller.join();
 
     uint64_t commits = 0;
-    for (const Rec& rec : recs) {
+    for (const oracle::HistoryTxn& rec : recs) {
         ASSERT_TRUE(rec.resolved);
         commits += rec.committed ? 1 : 0;
     }
@@ -427,44 +371,7 @@ TEST(ShardRouter, ConcurrentCallerHistoryPassesSerializabilityOracle)
     EXPECT_GT(stats.get("abort-cycle"), 0u);
     EXPECT_GT(stats.get("shard.cross"), 0u);
 
-    // Committed writers per address in version (global-cid) order.
-    std::map<uint64_t, std::vector<size_t>> writers;
-    for (size_t i = 0; i < kTxns; ++i) {
-        if (!recs[i].committed) continue;
-        for (uint64_t addr : recs[i].writes) writers[addr].push_back(i);
-    }
-    graph::DependencyGraph g(kTxns);
-    for (auto& [addr, list] : writers) {
-        std::sort(list.begin(), list.end(), [&](size_t a, size_t b) {
-            return recs[a].cid < recs[b].cid;
-        });
-        for (size_t v = 1; v < list.size(); ++v) {
-            g.add_edge(list[v - 1], list[v]); // WAW: version chain
-        }
-    }
-    for (size_t i = 0; i < kTxns; ++i) {
-        const Rec& rec = recs[i];
-        if (!rec.committed) continue;
-        for (uint64_t addr : rec.reads) {
-            const auto it = writers.find(addr);
-            if (it == writers.end()) continue;
-            // Observed version: newest committed writer the snapshot
-            // contains (cid < snapshot). The list is cid-sorted.
-            size_t observed = SIZE_MAX;
-            for (size_t w : it->second) {
-                if (recs[w].cid >= rec.snapshot) break;
-                if (w != i) observed = w;
-            }
-            if (observed != SIZE_MAX) g.add_edge(observed, i); // RAW
-            for (size_t w : it->second) {
-                if (w == i || w == observed) continue;
-                const bool later = observed == SIZE_MAX ||
-                                   recs[w].cid > recs[observed].cid;
-                if (later) g.add_edge(i, w); // RW anti-dependency
-            }
-        }
-    }
-    const auto verdict = graph::check_serializability(g);
+    const auto verdict = oracle::check_history(recs);
     EXPECT_TRUE(verdict.serializable)
         << "concurrent-caller history admitted a dependency cycle of length "
         << (verdict.cycle.empty() ? 0 : verdict.cycle.size() - 1);

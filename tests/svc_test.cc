@@ -867,6 +867,59 @@ TEST(SvcServer, DoesNotDeliverStaleVerdictsToRecycledFd)
     EXPECT_TRUE(queued) << "A's backlog drained before B's probe";
 }
 
+/// A peer that sends a burst and then half-closes (shutdown(SHUT_WR))
+/// still reads: every request it sent before the EOF is decoded,
+/// answered and counted, and only then is the connection closed.
+TEST(SvcServer, AnswersEveryRequestSentBeforeAHalfClose)
+{
+    constexpr uint64_t kRequests = 32;
+    ServerConfig config;
+    config.socket_path = test_socket_path("halfclose");
+    Server server(config);
+    ASSERT_TRUE(server.start());
+    const int fd = connect_raw(config.socket_path);
+    ASSERT_GE(fd, 0);
+
+    std::vector<uint8_t> burst;
+    for (uint64_t id = 1; id <= kRequests; ++id) {
+        WireRequest request;
+        request.request_id = id;
+        request.offload.writes = {id};
+        encode_request(burst, request);
+    }
+    ASSERT_EQ(send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.size()));
+    ASSERT_EQ(shutdown(fd, SHUT_WR), 0);
+
+    // Read until the server closes its side (a timeout fails the test).
+    timeval timeout{5, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::set<uint64_t> answered;
+    FrameReader reader;
+    uint8_t buf[4096];
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    for (; n > 0; n = recv(fd, buf, sizeof(buf), 0)) {
+        reader.append(buf, static_cast<size_t>(n));
+        while (auto frame = reader.next()) {
+            const auto response =
+                decode_response(frame->type, frame->payload, frame->size);
+            ASSERT_TRUE(response);
+            EXPECT_EQ(response->result.verdict, core::Verdict::kCommit);
+            answered.insert(response->request_id);
+        }
+    }
+    EXPECT_EQ(n, 0) << "the server did not close the connection";
+    close(fd);
+    EXPECT_EQ(answered.size(), kRequests);
+    server.stop();
+
+    const CounterBag stats = server.stats();
+    EXPECT_EQ(stats.get("svc.requests"), kRequests);
+    EXPECT_EQ(stats.get("svc.verdict.commit"), kRequests);
+    EXPECT_EQ(answered_total(stats), kRequests);
+    EXPECT_EQ(stats.get("svc.disconnects"), 1u);
+}
+
 /// A client that floods requests but never reads a response must be
 /// disconnected once its outbound buffer hits max_out_bytes — the
 /// server never buffers unread responses without bound.
