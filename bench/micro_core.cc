@@ -5,6 +5,8 @@
 /// abstracts (src/sim/cost_model.cc).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "core/reachability_matrix.h"
 #include "core/rococo_validator.h"
@@ -72,14 +74,14 @@ BM_MatrixProbe(benchmark::State& state)
     Xoshiro256 rng(4);
     // Fill the window with a random DAG via sequential inserts.
     for (size_t slot = 0; slot < window; ++slot) {
-        BitVector f(window), b(window);
+        core::SlotSet f, b;
         for (size_t j = 0; j < slot; ++j) {
             if (rng.chance(0.05)) b.set(j);
         }
         auto probe = m.probe(f, b);
         m.insert(slot, probe);
     }
-    BitVector f(window), b(window);
+    core::SlotSet f, b;
     f.set(rng.below(window));
     b.set(rng.below(window));
     for (auto _ : state) {
@@ -88,21 +90,51 @@ BM_MatrixProbe(benchmark::State& state)
 }
 BENCHMARK(BM_MatrixProbe)->Arg(64)->Arg(128)->Arg(256);
 
+/// Request shapes for BM_ValidatorCommit, drawn before timing: each is
+/// a list of backward-edge distances d in [1, window] (edge to cid
+/// next_cid - d), each distance taken with chance 0.05.
+std::vector<std::vector<uint64_t>>
+backward_distances(size_t window, size_t count, Xoshiro256& rng)
+{
+    std::vector<std::vector<uint64_t>> shapes(count);
+    for (auto& shape : shapes) {
+        for (uint64_t d = 1; d <= window; ++d) {
+            if (rng.chance(0.05)) shape.push_back(d);
+        }
+    }
+    return shapes;
+}
+
 void
 BM_ValidatorCommit(benchmark::State& state)
 {
-    core::SlidingWindowValidator v(64);
+    const size_t window = state.range(0);
+    core::SlidingWindowValidator v(window);
     Xoshiro256 rng(5);
-    for (auto _ : state) {
-        core::ValidationRequest req;
-        for (uint64_t c = v.window_start(); c < v.next_cid(); ++c) {
-            if (rng.chance(0.05)) req.backward.push_back(c);
+    const auto shapes = backward_distances(window, 1024, rng);
+    // One request whose vectors keep their capacity; the timed loop
+    // only rewrites the cids relative to the moving window.
+    core::ValidationRequest req;
+    req.backward.reserve(window);
+    size_t next = 0;
+    auto fill = [&] {
+        const auto& shape = shapes[next++ % shapes.size()];
+        req.backward.clear();
+        for (uint64_t d : shape) {
+            if (d <= v.next_cid()) req.backward.push_back(v.next_cid() - d);
         }
+    };
+    for (size_t i = 0; i < 2 * window; ++i) { // fill: every commit evicts
+        fill();
+        v.validate_and_commit(req);
+    }
+    for (auto _ : state) {
+        fill();
         benchmark::DoNotOptimize(v.validate_and_commit(req));
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ValidatorCommit);
+BENCHMARK(BM_ValidatorCommit)->Arg(64)->Arg(128)->Arg(256);
 
 void
 BM_ExactValidate(benchmark::State& state)
@@ -193,14 +225,20 @@ BM_EngineProcess(benchmark::State& state)
 {
     fpga::ValidationEngine engine;
     Xoshiro256 rng(10);
-    for (auto _ : state) {
-        fpga::OffloadRequest request;
+    // Requests drawn before timing; the timed loop only moves each
+    // one's snapshot to the engine's current cid.
+    std::vector<fpga::OffloadRequest> requests(1024);
+    for (auto& request : requests) {
         for (int i = 0; i < 8; ++i) {
             request.reads.push_back(rng.below(1 << 20));
         }
         for (int i = 0; i < 4; ++i) {
             request.writes.push_back(rng.below(1 << 20));
         }
+    }
+    size_t next = 0;
+    for (auto _ : state) {
+        fpga::OffloadRequest& request = requests[next++ % requests.size()];
         request.snapshot_cid = engine.next_cid();
         benchmark::DoNotOptimize(engine.process(request));
     }

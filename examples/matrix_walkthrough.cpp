@@ -7,19 +7,19 @@
 ///   ./build/examples/matrix_walkthrough
 #include <cstdio>
 
-#include "common/bitvector.h"
 #include "core/reachability_matrix.h"
 
 using namespace rococo;
 using core::ProbeResult;
 using core::ReachabilityMatrix;
+using core::SlotSet;
 
 namespace {
 
-BitVector
+SlotSet
 bits(std::initializer_list<int> set_bits)
 {
-    BitVector v(4);
+    SlotSet v;
     for (int b : set_bits) v.set(static_cast<size_t>(b));
     return v;
 }
@@ -31,8 +31,8 @@ step(ReachabilityMatrix& m, const char* story, int slot,
     std::printf("--- %s\n", story);
     const ProbeResult probe = m.probe(bits(f), bits(b));
     std::printf("probe: p=%s s=%s -> %s\n",
-                probe.proceeding.to_string().c_str(),
-                probe.succeeding.to_string().c_str(),
+                probe.proceeding.to_string(m.window()).c_str(),
+                probe.succeeding.to_string(m.window()).c_str(),
                 probe.cyclic ? "CYCLE, abort" : "acyclic, commit");
     if (!probe.cyclic && slot >= 0) {
         m.insert(static_cast<size_t>(slot), probe);

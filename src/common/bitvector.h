@@ -2,12 +2,11 @@
 /// Dynamic bit vector with the bulk boolean operations the ROCoCo data
 /// path is made of (or / and / and-reduce / any / none).
 ///
-/// The FPGA implementation of ROCoCo operates on W-bit registers; the
-/// software model uses this type for every window width: the rows of
-/// core::ReachabilityMatrix and the edge vectors of
-/// core::SlidingWindowValidator, plus the graph/ oracle's transitive
-/// closure (via common/bitmatrix.h). There is no fixed-width fast path
-/// yet; ROADMAP.md ("Engine at register width") plans one.
+/// Any size, heap-backed, out-of-line operations: the graph/ oracle's
+/// transitive closure (via common/bitmatrix.h) uses it. The validation
+/// engine does not: the FPGA's W-bit registers are modelled at register
+/// width by core::SlotSet and the flat fixed-stride rows of
+/// core::ReachabilityMatrix (core/reachability_matrix.h).
 #pragma once
 
 #include <cstddef>

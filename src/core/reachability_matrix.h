@@ -15,15 +15,80 @@
 /// R and its transpose up to date so neither product needs the matrix
 /// transposition the paper calls out as the CPU bottleneck (§4.2).
 ///
+/// Layout: W is at most kMaxWindow. Each matrix is one allocation of W
+/// contiguous rows, row i at words [i*n, i*n + n) with n = ceil(W/64)
+/// words, bit j of a row in word j/64. Every other slot vector (edge
+/// vectors, p/s, occupied, reaches-evicted) is a SlotSet: kMaxWindow
+/// bits inline, bits at or above W always zero. So a probe ORs n-word
+/// rows into registers, and an eviction is one masked AND over the
+/// evicted slot's column word in every row.
+///
 /// Slots are a fixed pool; the sliding-window policy (which slot holds
 /// which commit) lives in core/sliding_window.h.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
-
-#include "common/bitvector.h"
+#include <cstdint>
+#include <string>
+#include <vector>
 
 namespace rococo::core {
+
+/// The widest supported window: four 64-bit words per row.
+inline constexpr size_t kMaxWindow = 256;
+
+/// A set of window slots held in registers (kMaxWindow bits inline).
+struct SlotSet
+{
+    static constexpr size_t kWords = kMaxWindow / 64;
+    std::array<uint64_t, kWords> words{};
+
+    bool test(size_t i) const { return (words[i >> 6] >> (i & 63)) & 1; }
+    void set(size_t i) { words[i >> 6] |= uint64_t{1} << (i & 63); }
+    void reset(size_t i) { words[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
+    bool none() const { return *this == SlotSet{}; }
+    bool operator==(const SlotSet&) const = default;
+
+    size_t
+    count() const
+    {
+        size_t total = 0;
+        for (uint64_t w : words) total += std::popcount(w);
+        return total;
+    }
+
+    /// Is some bit set in both this and @p other?
+    bool
+    intersects(const SlotSet& other) const
+    {
+        uint64_t any = 0;
+        for (size_t w = 0; w < kWords; ++w) any |= words[w] & other.words[w];
+        return any != 0;
+    }
+
+    /// Call @p fn(slot) for every set bit, lowest first.
+    template <class Fn>
+    void
+    for_each(Fn&& fn) const
+    {
+        for (size_t w = 0; w < kWords; ++w) {
+            for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+                fn(w * 64 + std::countr_zero(bits));
+            }
+        }
+    }
+
+    /// "0101..." over the first @p width slots, slot 0 first.
+    std::string
+    to_string(size_t width) const
+    {
+        std::string out;
+        for (size_t i = 0; i < width; ++i) out += test(i) ? '1' : '0';
+        return out;
+    }
+};
 
 /// Sentinel for ProbeResult::conflict_slot: no conflicting slot
 /// identified (the probe found no cycle).
@@ -34,13 +99,12 @@ inline constexpr size_t kNoConflictSlot = ~size_t{0};
 struct ProbeResult
 {
     bool cyclic = false;
-    BitVector proceeding; ///< p: slots the transaction precedes
-    BitVector succeeding; ///< s: slots that precede the transaction
+    SlotSet proceeding; ///< p: slots the transaction precedes
+    SlotSet succeeding; ///< s: slots that precede the transaction
     /// When cyclic: one slot witnessing the cycle — the first slot that
     /// the transaction both precedes and succeeds (p AND s), or, for
     /// eviction cycles, the first slot in p that reaches an evicted
-    /// transaction. kNoConflictSlot otherwise. Filled only on the abort
-    /// path, so the extra scan costs nothing on commits.
+    /// transaction. kNoConflictSlot otherwise.
     size_t conflict_slot = kNoConflictSlot;
 };
 
@@ -49,31 +113,29 @@ struct ProbeResult
 class ReachabilityMatrix
 {
   public:
+    /// @p window must be in [1, kMaxWindow].
     explicit ReachabilityMatrix(size_t window);
 
-    size_t window() const { return reach_.size(); }
+    size_t window() const { return window_; }
 
     /// Occupied slots (those currently holding a committed transaction).
-    const BitVector& occupied() const { return occupied_; }
+    const SlotSet& occupied() const { return occupied_; }
 
     /// Does t_i reach t_j? Both slots must be occupied. Reflexive:
     /// reaches(i, i) is true for occupied i.
     bool reaches(size_t i, size_t j) const;
 
     /// Compute p/s for a transaction with direct forward edges @p f and
-    /// backward edges @p b (bit per slot; bits may only be set for
-    /// occupied slots) and detect cycles. Does not modify the matrix.
-    ProbeResult probe(const BitVector& f, const BitVector& b) const;
-
-    /// probe() into caller-owned storage: @p out's vectors are
-    /// overwritten in place (no allocation once they are window-sized),
-    /// the scratch-reuse form the validation hot path uses.
-    void probe_into(const BitVector& f, const BitVector& b,
-                    ProbeResult* out) const;
+    /// backward edges @p b (bits may only be set for occupied slots) and
+    /// detect cycles. Does not modify the matrix.
+    ProbeResult probe(const SlotSet& f, const SlotSet& b) const;
 
     /// Commit the probed transaction into @p slot (must be free):
     /// updates all closure entries (r[i][j] |= s[i] & p[j]) and installs
-    /// p/s as the new slot's row/column.
+    /// p/s as the new slot's row/column. The probe may name @p slot
+    /// itself if its occupant was evicted after the probe: a p bit there
+    /// means the transaction preceded the evictee, so it reaches an
+    /// evicted transaction (reaches_evicted()).
     void insert(size_t slot, const ProbeResult& probe);
 
     /// Evict the transaction in @p slot. Remaining slots that could
@@ -88,23 +150,10 @@ class ReachabilityMatrix
 
     /// Slots whose transaction precedes some already-evicted
     /// transaction (see clear_slot()).
-    const BitVector& reaches_evicted() const { return reaches_evicted_; }
-
-    /// Explicitly flag @p slot as preceding an evicted transaction.
-    /// Needed when a commit both evicts its slot's previous occupant and
-    /// preceded that occupant (the probe ran while the occupant was
-    /// still in the window, so insert() cannot see the edge).
-    void mark_reaches_evicted(size_t slot);
-
-    /// Row i of the closure: all slots t_i reaches.
-    const BitVector& row(size_t i) const { return reach_[i]; }
-
-    /// Column j of the closure (maintained as the transpose row): all
-    /// slots reaching t_j.
-    const BitVector& column(size_t j) const { return reached_[j]; }
+    const SlotSet& reaches_evicted() const { return reaches_evicted_; }
 
     /// Expensive internal consistency check (transpose coherence,
-    /// transitivity); used by tests and ROCOCO_DCHECK-heavy paths.
+    /// transitivity, no bits outside occupied slots); used by tests.
     bool check_invariants() const;
 
     /// Multi-line human-readable dump of the matrix state (occupied
@@ -113,14 +162,15 @@ class ReachabilityMatrix
     std::string debug_dump() const;
 
   private:
-    std::vector<BitVector> reach_;   ///< reach_[i] = {j : t_i |> t_j}
-    std::vector<BitVector> reached_; ///< reached_[j] = {i : t_i |> t_j}
-    BitVector occupied_;
-    BitVector reaches_evicted_;
-    /// clear_slot() scratch, window-sized at construction: a full
-    /// window evicts on every commit, so the eviction path must not
-    /// allocate (tests/hotpath_alloc_test.cc).
-    BitVector evict_scratch_;
+    /// Row @p i of @p rows (reach_ or reached_) as a SlotSet.
+    SlotSet row(const std::vector<uint64_t>& rows, size_t i) const;
+
+    size_t window_;
+    size_t words_; ///< words per row: ceil(window_ / 64)
+    std::vector<uint64_t> reach_;   ///< row i = {j : t_i |> t_j}
+    std::vector<uint64_t> reached_; ///< row j = {i : t_i |> t_j}
+    SlotSet occupied_;
+    SlotSet reaches_evicted_;
 };
 
 } // namespace rococo::core

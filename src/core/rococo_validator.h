@@ -56,10 +56,6 @@ class ExactRococoValidator
 
     uint64_t next_cid() const { return validator_.next_cid(); }
     uint64_t window_start() const { return validator_.window_start(); }
-    const SlidingWindowValidator& window_validator() const
-    {
-        return validator_;
-    }
 
     /// Build the forward/backward request without validating (exposed
     /// so the FPGA detector tests can compare classifications).

@@ -30,13 +30,6 @@ abort_reason(Verdict verdict)
     return obs::AbortReason::kUnknown;
 }
 
-SlidingWindowValidator::SlidingWindowValidator(size_t window)
-    : matrix_(window), f_scratch_(window), b_scratch_(window)
-{
-    probe_scratch_.proceeding = BitVector(window);
-    probe_scratch_.succeeding = BitVector(window);
-}
-
 uint64_t
 SlidingWindowValidator::window_start() const
 {
@@ -64,7 +57,7 @@ SlidingWindowValidator::conflict_cid_at(size_t slot) const
 
 bool
 SlidingWindowValidator::build_vectors(const ValidationRequest& request,
-                                      BitVector& f, BitVector& b) const
+                                      SlotSet& f, SlotSet& b) const
 {
     const uint64_t start = window_start();
     for (uint64_t cid : request.forward) {
@@ -83,17 +76,13 @@ SlidingWindowValidator::build_vectors(const ValidationRequest& request,
 ValidationResult
 SlidingWindowValidator::validate_and_commit(const ValidationRequest& request)
 {
-    BitVector& f = f_scratch_;
-    BitVector& b = b_scratch_;
-    f.clear();
-    b.clear();
+    SlotSet f, b;
     if (!build_vectors(request, f, b)) {
         return {Verdict::kWindowOverflow, 0,
                 obs::AbortReason::kWindowEviction};
     }
 
-    ProbeResult& probe = probe_scratch_;
-    matrix_.probe_into(f, b, &probe);
+    const ProbeResult probe = matrix_.probe(f, b);
     if (probe.cyclic) {
         return {Verdict::kAbortCycle, 0, obs::AbortReason::kValidationCycle,
                 conflict_cid_at(probe.conflict_slot)};
@@ -101,36 +90,23 @@ SlidingWindowValidator::validate_and_commit(const ValidationRequest& request)
 
     const uint64_t cid = next_cid_++;
     const size_t slot = cid % window();
-    bool preceded_evictee = false;
-    if (matrix_.occupied().test(slot)) {
-        // Slot holds cid - W: the window is full, evict the oldest.
-        // The probe legitimately ran against the full window (the
-        // hardware detector compares against h_63 before the shift), so
-        // p/s may reference the evictee's slot; drop those bits before
-        // reusing the slot for the new commit, and remember a
-        // t |> evictee edge so future transactions reaching t abort.
-        preceded_evictee = probe.proceeding.test(slot);
-        matrix_.clear_slot(slot);
-        probe.proceeding.reset(slot);
-        probe.succeeding.reset(slot);
-    }
+    // Slot holds cid - W when the window is full: evict the oldest.
+    // The probe legitimately ran against the full window (the hardware
+    // detector compares against h_63 before the shift), so p/s may name
+    // the evictee's slot; insert() reads a p bit there as a t |> evictee
+    // edge, so future transactions reaching t abort.
+    if (matrix_.occupied().test(slot)) matrix_.clear_slot(slot);
     matrix_.insert(slot, probe);
-    if (preceded_evictee) matrix_.mark_reaches_evicted(slot);
     return {Verdict::kCommit, cid, obs::AbortReason::kNone};
 }
 
 Verdict
 SlidingWindowValidator::validate_only(const ValidationRequest& request) const
 {
-    BitVector& f = f_scratch_;
-    BitVector& b = b_scratch_;
-    f.clear();
-    b.clear();
-    if (!build_vectors(request, f, b)) {
-        return Verdict::kWindowOverflow;
-    }
-    matrix_.probe_into(f, b, &probe_scratch_);
-    return probe_scratch_.cyclic ? Verdict::kAbortCycle : Verdict::kCommit;
+    SlotSet f, b;
+    if (!build_vectors(request, f, b)) return Verdict::kWindowOverflow;
+    return matrix_.probe(f, b).cyclic ? Verdict::kAbortCycle
+                                      : Verdict::kCommit;
 }
 
 bool

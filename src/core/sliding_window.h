@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bitvector.h"
 #include "core/reachability_matrix.h"
 #include "obs/abort_reason.h"
 
@@ -83,7 +82,7 @@ struct ValidationResult
 class SlidingWindowValidator
 {
   public:
-    explicit SlidingWindowValidator(size_t window);
+    explicit SlidingWindowValidator(size_t window) : matrix_(window) {}
 
     size_t window() const { return matrix_.window(); }
 
@@ -118,19 +117,11 @@ class SlidingWindowValidator
 
     /// Translate a cid-based request into slot vectors; returns false if
     /// any cid is already evicted.
-    bool build_vectors(const ValidationRequest& request, BitVector& f,
-                       BitVector& b) const;
+    bool build_vectors(const ValidationRequest& request, SlotSet& f,
+                       SlotSet& b) const;
 
     ReachabilityMatrix matrix_;
     uint64_t next_cid_ = 0;
-    /// Per-call scratch (edge vectors + probe result), window-sized at
-    /// construction so steady-state validation allocates nothing.
-    /// Mutable because validate_only() is logically const; the class is
-    /// single-threaded by contract (see the class comment), so the
-    /// scratch needs no further synchronization.
-    mutable BitVector f_scratch_;
-    mutable BitVector b_scratch_;
-    mutable ProbeResult probe_scratch_;
 };
 
 } // namespace rococo::core

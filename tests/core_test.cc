@@ -2,6 +2,9 @@
 /// sliding-window validator and the exact (set-based) validator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.h"
 #include "core/reachability_matrix.h"
 #include "core/rococo_validator.h"
@@ -14,6 +17,10 @@ namespace rococo::core {
 namespace {
 
 using graph::DependencyGraph;
+
+/// Window widths the oracle fuzzes run at: one-, two- and four-word
+/// rows, full and partial tail words, up to kMaxWindow.
+constexpr size_t kWidths[] = {2, 8, 10, 63, 64, 65, 128, 200, 256};
 
 /// Oracle mirroring a validator run: the full ->rw graph over ALL
 /// committed transactions (evicted ones included).
@@ -53,7 +60,7 @@ class GraphOracle
 TEST(ReachabilityMatrix, EmptyProbeNeverCyclic)
 {
     ReachabilityMatrix m(8);
-    const ProbeResult probe = m.probe(BitVector(8), BitVector(8));
+    const ProbeResult probe = m.probe(SlotSet{}, SlotSet{});
     EXPECT_FALSE(probe.cyclic);
     EXPECT_TRUE(probe.proceeding.none());
     EXPECT_TRUE(probe.succeeding.none());
@@ -64,16 +71,16 @@ TEST(ReachabilityMatrix, ChainReachability)
     // Commit t0, then t1 with b-edge to t0 (t0 -> t1), then t2 with
     // b-edge to t1: t0 must reach t2 transitively.
     ReachabilityMatrix m(8);
-    m.insert(0, m.probe(BitVector(8), BitVector(8)));
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
 
-    BitVector b1(8);
+    SlotSet b1;
     b1.set(0);
-    m.insert(1, m.probe(BitVector(8), b1));
+    m.insert(1, m.probe(SlotSet{}, b1));
     EXPECT_TRUE(m.reaches(0, 1));
 
-    BitVector b2(8);
+    SlotSet b2;
     b2.set(1);
-    m.insert(2, m.probe(BitVector(8), b2));
+    m.insert(2, m.probe(SlotSet{}, b2));
     EXPECT_TRUE(m.reaches(1, 2));
     EXPECT_TRUE(m.reaches(0, 2)) << "transitive closure missing";
     EXPECT_FALSE(m.reaches(2, 0));
@@ -83,8 +90,8 @@ TEST(ReachabilityMatrix, ChainReachability)
 TEST(ReachabilityMatrix, DirectTwoCycleDetected)
 {
     ReachabilityMatrix m(4);
-    m.insert(0, m.probe(BitVector(4), BitVector(4)));
-    BitVector f(4), b(4);
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
+    SlotSet f, b;
     f.set(0);
     b.set(0);
     EXPECT_TRUE(m.probe(f, b).cyclic);
@@ -96,10 +103,10 @@ TEST(ReachabilityMatrix, CommitIntoThePast)
     // in serial order even though it commits later) — the phantom
     // ordering TOCC forbids and ROCoCo allows.
     ReachabilityMatrix m(4);
-    m.insert(0, m.probe(BitVector(4), BitVector(4)));
-    BitVector f(4);
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
+    SlotSet f;
     f.set(0);
-    const ProbeResult probe = m.probe(f, BitVector(4));
+    const ProbeResult probe = m.probe(f, SlotSet{});
     EXPECT_FALSE(probe.cyclic);
     m.insert(1, probe);
     EXPECT_TRUE(m.reaches(1, 0));
@@ -114,12 +121,12 @@ TEST(ReachabilityMatrix, IndirectCycleThroughClosure)
     // new has f-edge to t1 and b-edge from t0: new |> t1 |> t0 |> new?
     // t0 |> new requires b-edge from t0. Cycle: new -> t1 -> t0 -> new.
     ReachabilityMatrix m(4);
-    m.insert(0, m.probe(BitVector(4), BitVector(4)));
-    BitVector f1(4);
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
+    SlotSet f1;
     f1.set(0);
-    m.insert(1, m.probe(f1, BitVector(4))); // t1 |> t0
+    m.insert(1, m.probe(f1, SlotSet{})); // t1 |> t0
 
-    BitVector f(4), b(4);
+    SlotSet f, b;
     f.set(1); // new |> t1 (and transitively |> t0)
     b.set(0); // t0 |> new
     EXPECT_TRUE(m.probe(f, b).cyclic);
@@ -129,13 +136,13 @@ TEST(ReachabilityMatrix, EvictionKeepsClosureAmongSurvivors)
 {
     // 0 -> 1 -> 2; evicting 1 must keep 0 |> 2.
     ReachabilityMatrix m(8);
-    m.insert(0, m.probe(BitVector(8), BitVector(8)));
-    BitVector b1(8);
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
+    SlotSet b1;
     b1.set(0);
-    m.insert(1, m.probe(BitVector(8), b1));
-    BitVector b2(8);
+    m.insert(1, m.probe(SlotSet{}, b1));
+    SlotSet b2;
     b2.set(1);
-    m.insert(2, m.probe(BitVector(8), b2));
+    m.insert(2, m.probe(SlotSet{}, b2));
 
     m.clear_slot(1);
     EXPECT_TRUE(m.reaches(0, 2));
@@ -150,16 +157,59 @@ TEST(ReachabilityMatrix, ReachesEvictedBlocksInvisibleCycle)
     // cycle with the invariant "evicted precedes all future commits" —
     // the probe must treat it as cyclic.
     ReachabilityMatrix m(4);
-    m.insert(0, m.probe(BitVector(4), BitVector(4)));
-    BitVector f1(4);
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
+    SlotSet f1;
     f1.set(0);
-    m.insert(1, m.probe(f1, BitVector(4))); // t1 |> t0
+    m.insert(1, m.probe(f1, SlotSet{})); // t1 |> t0
     m.clear_slot(0);
     EXPECT_TRUE(m.reaches_evicted().test(1));
 
-    BitVector f(4);
+    SlotSet f;
     f.set(1); // new |> t1 |> (evicted t0)
-    EXPECT_TRUE(m.probe(f, BitVector(4)).cyclic);
+    EXPECT_TRUE(m.probe(f, SlotSet{}).cyclic);
+}
+
+TEST(ReachabilityMatrix, ReachesEvictedIsSticky)
+{
+    // t1 precedes both t0 and t2. Evicting t0 flags t1; evicting t2,
+    // which t1 also precedes, must leave the flag set.
+    ReachabilityMatrix m(4);
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
+    m.insert(2, m.probe(SlotSet{}, SlotSet{}));
+    SlotSet f1;
+    f1.set(0);
+    f1.set(2);
+    m.insert(1, m.probe(f1, SlotSet{})); // t1 |> t0, t1 |> t2
+    m.clear_slot(0);
+    ASSERT_TRUE(m.reaches_evicted().test(1));
+    m.clear_slot(2);
+    EXPECT_TRUE(m.reaches_evicted().test(1));
+    EXPECT_TRUE(m.check_invariants());
+
+    SlotSet f;
+    f.set(1); // new |> t1 |> (evicted t0, t2)
+    EXPECT_TRUE(m.probe(f, SlotSet{}).cyclic);
+}
+
+TEST(SlidingWindowValidator, CommitPrecedingItsEvicteeReachesEvicted)
+{
+    // W=2: t (cid 2) commits into the past, before cid 0, and its own
+    // commit evicts cid 0. t now precedes an evicted transaction, so a
+    // later transaction that precedes t must abort.
+    SlidingWindowValidator v(2);
+    ASSERT_EQ(v.validate_and_commit({}).verdict, Verdict::kCommit);
+    ASSERT_EQ(v.validate_and_commit({}).verdict, Verdict::kCommit);
+    ValidationRequest t;
+    t.forward = {0};
+    const ValidationResult committed = v.validate_and_commit(t);
+    ASSERT_EQ(committed.verdict, Verdict::kCommit);
+    EXPECT_EQ(v.window_start(), 1u);
+    EXPECT_TRUE(v.matrix().reaches_evicted().test(committed.cid % 2));
+    EXPECT_TRUE(v.matrix().check_invariants());
+
+    ValidationRequest u;
+    u.forward = {committed.cid};
+    EXPECT_EQ(v.validate_and_commit(u).verdict, Verdict::kAbortCycle);
 }
 
 TEST(SlidingWindowValidator, AssignsSequentialCids)
@@ -260,31 +310,39 @@ TEST(SlidingWindowValidator, ValidateOnlyDoesNotCommit)
 TEST(SlidingWindowValidator, MatchesOracleWithoutEviction)
 {
     // Strict equivalence while nothing is evicted: verdicts must equal
-    // the full-graph cycle oracle.
-    Xoshiro256 rng(33);
-    for (int round = 0; round < 20; ++round) {
-        const size_t window = 64;
-        SlidingWindowValidator v(window);
-        GraphOracle oracle;
-        int committed = 0;
-        for (int t = 0; t < 60; ++t) {
-            ValidationRequest req;
-            for (uint64_t c = v.window_start(); c < v.next_cid(); ++c) {
-                if (rng.chance(0.08)) req.forward.push_back(c);
-                if (rng.chance(0.08)) req.backward.push_back(c);
+    // the full-graph cycle oracle. Each width fills 15/16 of its window
+    // (60 of 64 at W=64) with about five expected edges of each kind
+    // per request in a full window.
+    for (const size_t window : kWidths) {
+        SCOPED_TRACE("W=" + std::to_string(window));
+        Xoshiro256 rng(33);
+        const double edge = std::min(0.5, 5.12 / double(window));
+        const int rounds = window > 64 ? 5 : 20;
+        for (int round = 0; round < rounds; ++round) {
+            SlidingWindowValidator v(window);
+            GraphOracle oracle;
+            int committed = 0;
+            for (size_t t = 0; t < window - window / 16; ++t) {
+                ValidationRequest req;
+                for (uint64_t c = v.window_start(); c < v.next_cid(); ++c) {
+                    if (rng.chance(edge)) req.forward.push_back(c);
+                    if (rng.chance(edge)) req.backward.push_back(c);
+                }
+                const bool oracle_cyclic =
+                    oracle.would_cycle(req.forward, req.backward);
+                const auto result = v.validate_and_commit(req);
+                ASSERT_TRUE(v.matrix().check_invariants());
+                ASSERT_NE(result.verdict, Verdict::kWindowOverflow);
+                EXPECT_EQ(result.verdict == Verdict::kAbortCycle,
+                          oracle_cyclic)
+                    << "round " << round << " txn " << t;
+                if (result.verdict == Verdict::kCommit) {
+                    oracle.commit(result.cid, req.forward, req.backward);
+                    ++committed;
+                }
             }
-            const bool oracle_cyclic =
-                oracle.would_cycle(req.forward, req.backward);
-            const auto result = v.validate_and_commit(req);
-            ASSERT_NE(result.verdict, Verdict::kWindowOverflow);
-            EXPECT_EQ(result.verdict == Verdict::kAbortCycle, oracle_cyclic)
-                << "round " << round << " txn " << t;
-            if (result.verdict == Verdict::kCommit) {
-                oracle.commit(result.cid, req.forward, req.backward);
-                ++committed;
-            }
+            EXPECT_GT(committed, 0);
         }
-        EXPECT_GT(committed, 0);
     }
 }
 
@@ -293,28 +351,36 @@ TEST(SlidingWindowValidator, SoundUnderEviction)
     // With a small window the validator may abort more than the oracle
     // (overflow, reaches-evicted) but must never commit a transaction
     // the full-history oracle says is cyclic, and the final committed
-    // graph must be acyclic.
-    Xoshiro256 rng(77);
-    for (int round = 0; round < 15; ++round) {
-        SlidingWindowValidator v(8);
-        GraphOracle oracle;
-        for (int t = 0; t < 120; ++t) {
-            ValidationRequest req;
-            for (uint64_t c = v.window_start(); c < v.next_cid(); ++c) {
-                if (rng.chance(0.1)) req.forward.push_back(c);
-                if (rng.chance(0.1)) req.backward.push_back(c);
+    // graph must be acyclic. Every width runs at least three windows'
+    // worth of requests (W=8 is the original shape: 120 requests, edge
+    // chance 0.1).
+    for (const size_t window : kWidths) {
+        SCOPED_TRACE("W=" + std::to_string(window));
+        Xoshiro256 rng(77);
+        const double edge = std::min(0.5, 0.8 / double(window));
+        const int rounds = window > 64 ? 5 : 15;
+        for (int round = 0; round < rounds; ++round) {
+            SlidingWindowValidator v(window);
+            GraphOracle oracle;
+            for (size_t t = 0; t < std::max<size_t>(120, 3 * window); ++t) {
+                ValidationRequest req;
+                for (uint64_t c = v.window_start(); c < v.next_cid(); ++c) {
+                    if (rng.chance(edge)) req.forward.push_back(c);
+                    if (rng.chance(edge)) req.backward.push_back(c);
+                }
+                const bool oracle_cyclic =
+                    oracle.would_cycle(req.forward, req.backward);
+                const auto result = v.validate_and_commit(req);
+                ASSERT_TRUE(v.matrix().check_invariants());
+                if (result.verdict == Verdict::kCommit) {
+                    EXPECT_FALSE(oracle_cyclic)
+                        << "committed a cyclic transaction, round " << round
+                        << " txn " << t;
+                    oracle.commit(result.cid, req.forward, req.backward);
+                }
             }
-            const bool oracle_cyclic =
-                oracle.would_cycle(req.forward, req.backward);
-            const auto result = v.validate_and_commit(req);
-            if (result.verdict == Verdict::kCommit) {
-                EXPECT_FALSE(oracle_cyclic)
-                    << "committed a cyclic transaction, round " << round
-                    << " txn " << t;
-                oracle.commit(result.cid, req.forward, req.backward);
-            }
+            EXPECT_FALSE(graph::has_cycle(oracle.graph()));
         }
-        EXPECT_FALSE(graph::has_cycle(oracle.graph()));
     }
 }
 
@@ -442,75 +508,81 @@ TEST(ReachabilityMatrix, FuzzClosureSupersetUnderEviction)
     // matrix restricted to survivors must contain (as a superset) the
     // Warshall closure of the surviving direct edges — paths through
     // evicted vertices are legitimately remembered — and must satisfy
-    // its structural invariants throughout.
-    Xoshiro256 rng(123);
-    for (int round = 0; round < 10; ++round) {
-        const size_t window = 10;
-        ReachabilityMatrix matrix(window);
-        // Track surviving direct edges for the oracle.
-        std::vector<std::pair<size_t, size_t>> direct_edges;
-        std::vector<char> occupied(window, 0);
+    // its structural invariants after every step. W=10 is the original
+    // shape (120 steps, edge chance 0.15); wider windows run long
+    // enough to fill.
+    for (const size_t window : kWidths) {
+        SCOPED_TRACE("W=" + std::to_string(window));
+        Xoshiro256 rng(123);
+        const double edge = std::min(0.5, 1.5 / double(window));
+        const int rounds = window > 64 ? 3 : 10;
+        for (int round = 0; round < rounds; ++round) {
+            ReachabilityMatrix matrix(window);
+            // Track surviving direct edges for the oracle.
+            std::vector<std::pair<size_t, size_t>> direct_edges;
+            std::vector<char> occupied(window, 0);
 
-        for (int step = 0; step < 120; ++step) {
-            const double dice = rng.uniform();
-            if (dice < 0.55) {
-                // Insert into a random free slot with random edges.
-                std::vector<size_t> free_slots;
-                for (size_t s = 0; s < window; ++s) {
-                    if (!occupied[s]) free_slots.push_back(s);
-                }
-                if (free_slots.empty()) continue;
-                const size_t slot =
-                    free_slots[rng.below(free_slots.size())];
-                BitVector f(window), b(window);
-                for (size_t s = 0; s < window; ++s) {
-                    if (!occupied[s]) continue;
-                    if (rng.chance(0.15)) f.set(s);
-                    if (rng.chance(0.15)) b.set(s);
-                }
-                const ProbeResult probe = matrix.probe(f, b);
-                if (probe.cyclic) continue;
-                matrix.insert(slot, probe);
-                occupied[slot] = 1;
-                for (size_t s = f.find_first(); s < window;
-                     s = f.find_next(s)) {
-                    direct_edges.push_back({slot, s});
-                }
-                for (size_t s = b.find_first(); s < window;
-                     s = b.find_next(s)) {
-                    direct_edges.push_back({s, slot});
-                }
-            } else if (dice < 0.75) {
-                // Evict a random occupied slot.
-                std::vector<size_t> used;
-                for (size_t s = 0; s < window; ++s) {
-                    if (occupied[s]) used.push_back(s);
-                }
-                if (used.empty()) continue;
-                const size_t slot = used[rng.below(used.size())];
-                matrix.clear_slot(slot);
-                occupied[slot] = 0;
-                std::erase_if(direct_edges, [&](const auto& e) {
-                    return e.first == slot || e.second == slot;
-                });
-            } else {
-                // Check: invariants + superset of survivors' closure.
-                ASSERT_TRUE(matrix.check_invariants());
-                DependencyGraph g(window);
-                for (const auto& [from, to] : direct_edges) {
-                    g.add_edge(from, to);
-                }
-                const BitMatrix closure =
-                    graph::warshall_closure(g, /*reflexive=*/false);
-                for (size_t i = 0; i < window; ++i) {
-                    for (size_t j = 0; j < window; ++j) {
-                        if (i == j || !closure.test(i, j)) continue;
-                        EXPECT_TRUE(matrix.reaches(i, j))
-                            << "missing " << i << "->" << j
-                            << " at step " << step;
+            for (size_t step = 0; step < std::max<size_t>(120, 6 * window);
+                 ++step) {
+                ASSERT_TRUE(matrix.check_invariants()) << "step " << step;
+                const double dice = rng.uniform();
+                if (dice < 0.55) {
+                    // Insert into a random free slot with random edges.
+                    std::vector<size_t> free_slots;
+                    for (size_t s = 0; s < window; ++s) {
+                        if (!occupied[s]) free_slots.push_back(s);
+                    }
+                    if (free_slots.empty()) continue;
+                    const size_t slot =
+                        free_slots[rng.below(free_slots.size())];
+                    SlotSet f, b;
+                    for (size_t s = 0; s < window; ++s) {
+                        if (!occupied[s]) continue;
+                        if (rng.chance(edge)) f.set(s);
+                        if (rng.chance(edge)) b.set(s);
+                    }
+                    const ProbeResult probe = matrix.probe(f, b);
+                    if (probe.cyclic) continue;
+                    matrix.insert(slot, probe);
+                    occupied[slot] = 1;
+                    f.for_each([&](size_t s) {
+                        direct_edges.push_back({slot, s});
+                    });
+                    b.for_each([&](size_t s) {
+                        direct_edges.push_back({s, slot});
+                    });
+                } else if (dice < 0.75) {
+                    // Evict a random occupied slot.
+                    std::vector<size_t> used;
+                    for (size_t s = 0; s < window; ++s) {
+                        if (occupied[s]) used.push_back(s);
+                    }
+                    if (used.empty()) continue;
+                    const size_t slot = used[rng.below(used.size())];
+                    matrix.clear_slot(slot);
+                    occupied[slot] = 0;
+                    std::erase_if(direct_edges, [&](const auto& e) {
+                        return e.first == slot || e.second == slot;
+                    });
+                } else {
+                    // Check: superset of survivors' closure.
+                    DependencyGraph g(window);
+                    for (const auto& [from, to] : direct_edges) {
+                        g.add_edge(from, to);
+                    }
+                    const BitMatrix closure =
+                        graph::warshall_closure(g, /*reflexive=*/false);
+                    for (size_t i = 0; i < window; ++i) {
+                        for (size_t j = 0; j < window; ++j) {
+                            if (i == j || !closure.test(i, j)) continue;
+                            EXPECT_TRUE(matrix.reaches(i, j))
+                                << "missing " << i << "->" << j
+                                << " at step " << step;
+                        }
                     }
                 }
             }
+            ASSERT_TRUE(matrix.check_invariants());
         }
     }
 }
@@ -524,10 +596,10 @@ namespace {
 TEST(ReachabilityMatrix, DebugDumpShowsState)
 {
     ReachabilityMatrix m(4);
-    m.insert(0, m.probe(BitVector(4), BitVector(4)));
-    BitVector b(4);
+    m.insert(0, m.probe(SlotSet{}, SlotSet{}));
+    SlotSet b;
     b.set(0);
-    m.insert(2, m.probe(BitVector(4), b));
+    m.insert(2, m.probe(SlotSet{}, b));
     const std::string dump = m.debug_dump();
     EXPECT_NE(dump.find("W=4"), std::string::npos);
     EXPECT_NE(dump.find("slot 0"), std::string::npos);

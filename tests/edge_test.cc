@@ -75,9 +75,9 @@ TEST(RngEdge, BelowOneIsAlwaysZero)
 TEST(ReachabilityMatrixEdge, SingleSlotWindow)
 {
     core::ReachabilityMatrix m(1);
-    m.insert(0, m.probe(BitVector(1), BitVector(1)));
+    m.insert(0, m.probe({}, {}));
     EXPECT_TRUE(m.reaches(0, 0));
-    BitVector f(1), b(1);
+    core::SlotSet f, b;
     f.set(0);
     b.set(0);
     EXPECT_TRUE(m.probe(f, b).cyclic);
@@ -88,9 +88,18 @@ TEST(ReachabilityMatrixEdge, SingleSlotWindow)
 TEST(ReachabilityMatrixEdge, InsertIntoOccupiedSlotDies)
 {
     core::ReachabilityMatrix m(2);
-    m.insert(0, m.probe(BitVector(2), BitVector(2)));
-    const auto probe = m.probe(BitVector(2), BitVector(2));
+    m.insert(0, m.probe({}, {}));
+    const auto probe = m.probe({}, {});
     EXPECT_DEATH(m.insert(0, probe), "");
+}
+
+TEST(ReachabilityMatrixEdge, WindowAboveTheCapDies)
+{
+    // Rows are at most kMaxWindow bits wide; a wider window is refused
+    // at construction, not truncated.
+    core::ReachabilityMatrix widest(core::kMaxWindow);
+    EXPECT_EQ(widest.window(), core::kMaxWindow);
+    EXPECT_DEATH(core::ReachabilityMatrix(core::kMaxWindow + 1), "");
 }
 
 TEST(SlidingWindowEdge, FullWindowKeepsRolling)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -147,22 +148,29 @@ deadline_for(uint64_t i)
 
 TEST(HotPathAllocation, EngineProcessSteadyStateIsAllocationFree)
 {
-    fpga::ValidationEngine engine; // W=64, 512-bit, 4 hashes
-    uint64_t i = 0;
-    // Warmup: fill the window twice over (evictions underway), reach
-    // the classify scratch's high-water, intern the verdict counter.
-    for (; i < 256; ++i) {
-        ASSERT_EQ(engine.process(workload_request(i)).verdict,
-                  core::Verdict::kCommit);
-    }
+    // The paper's W=64 (512-bit, 4 hashes), then two- and four-word
+    // reachability rows.
+    for (const size_t window : {64, 128, 256}) {
+        SCOPED_TRACE("W=" + std::to_string(window));
+        fpga::EngineConfig config;
+        config.window = window;
+        fpga::ValidationEngine engine(config);
+        uint64_t i = 0;
+        // Warmup: fill the window twice over (evictions underway), reach
+        // the classify scratch's high-water, intern the verdict counter.
+        for (; i < std::max<uint64_t>(256, 4 * window); ++i) {
+            ASSERT_EQ(engine.process(workload_request(i)).verdict,
+                      core::Verdict::kCommit);
+        }
 
-    const uint64_t before = allocations();
-    for (const uint64_t end = i + 1000; i < end; ++i) {
-        ASSERT_EQ(engine.process(workload_request(i)).verdict,
-                  core::Verdict::kCommit);
+        const uint64_t before = allocations();
+        for (const uint64_t end = i + 1000; i < end; ++i) {
+            ASSERT_EQ(engine.process(workload_request(i)).verdict,
+                      core::Verdict::kCommit);
+        }
+        EXPECT_EQ(allocations() - before, 0u)
+            << "engine.process() allocated on the steady-state path";
     }
-    EXPECT_EQ(allocations() - before, 0u)
-        << "engine.process() allocated on the steady-state path";
 }
 
 TEST(HotPathAllocation, PipelineValidateSteadyStateIsAllocationFree)
