@@ -7,7 +7,11 @@
 ///      it replaced (classify_scalar), same live history, same
 ///      requests. The scalar loop's fresh result vectors are part of
 ///      its measured cost: that is exactly what the seed path did per
-///      request.
+///      request. The match kernels (portable and SIMD) are timed in
+///      kRounds interleaved rounds, each kernel once per round; a round
+///      in which the process waited for a CPU is dropped, and each
+///      kernel reports the median of its clean rounds plus the median
+///      of its per-round speedup over the portable kernel.
 ///   2. engine ns/request — ValidationEngine::process() (classify,
 ///      decide, commit or abort) on a full window, from the classify
 ///      rows' request pool, each request's snapshot half a window back.
@@ -91,20 +95,27 @@ struct Geometry
     unsigned hashes;
 };
 
+/// Rounds of the kernel timings and of the one-caller round trip (see
+/// the file comment).
+constexpr int kRounds = 25;
+
 struct KernelTiming
 {
     sig::MatchKernel kernel;
+    /// Medians over the clean rounds (0 when none is clean): ns per
+    /// request, and this kernel's speedup over the portable kernel in
+    /// the same round.
     double sliced_ns = 0;
+    double vs_portable = 0;
 };
-
-/// Rounds of the one-caller round trip (see the file comment).
-constexpr int kRounds = 25;
 
 struct Result
 {
     /// One timing per runtime-available match kernel (scalar always
-    /// first), same history and request stream for each.
+    /// first), same history and request stream for each, and how many
+    /// of kRounds rounds of them were clean.
     std::vector<KernelTiming> kernels;
+    int kernel_clean_rounds = 0;
     double scalar_ns = 0;
     double engine_ns = 0; ///< ValidationEngine::process() per request
     /// One caller: median per-call round trip over the clean rounds (0
@@ -122,6 +133,17 @@ now_ns()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
+}
+
+/// Median of @p values (0 when empty); reorders them.
+double
+median(std::vector<double>& values)
+{
+    if (values.empty()) return 0;
+    std::sort(values.begin(), values.end());
+    const size_t mid = values.size() / 2;
+    return values.size() % 2 ? values[mid]
+                             : (values[mid - 1] + values[mid]) / 2;
 }
 
 /// Time this process's threads have spent runnable but waiting for a
@@ -223,20 +245,50 @@ run_geometry(const Geometry& geometry, uint64_t iters,
                                   geometry.window / 2, rng);
 
         core::ValidationRequest out; // reused: the zero-alloc hot path
-        for (sig::MatchKernel kernel : sig::runtime_kernels()) {
+        const auto kernels = sig::runtime_kernels();
+        for (sig::MatchKernel kernel : kernels) {
             detector.set_match_kernel(kernel);
             for (const auto& request : requests) { // warm caches + capacity
                 detector.classify_into(request, &out);
                 sink += out.forward.size();
             }
-            const uint64_t t0 = now_ns();
-            for (uint64_t i = 0; i < iters; ++i) {
-                detector.classify_into(requests[i % requests.size()], &out);
-                sink += out.backward.size();
+        }
+        // Interleaved rounds: every kernel runs once per round, in an
+        // order that flips each round, so drift and steal hit them
+        // alike; a round in which this (single-threaded) process waited
+        // for a CPU is dropped as a whole.
+        const RunQueueDelay run_queue;
+        const uint64_t per_round = std::max<uint64_t>(1, iters / kRounds);
+        std::vector<std::vector<double>> ns(kernels.size());
+        std::vector<std::vector<double>> vs_portable(kernels.size());
+        std::vector<double> round_ns(kernels.size());
+        uint64_t next = 0;
+        for (int round = 0; round < kRounds; ++round) {
+            const uint64_t waited0 = run_queue.ns();
+            for (size_t j = 0; j < kernels.size(); ++j) {
+                const size_t k = round % 2 ? kernels.size() - 1 - j : j;
+                detector.set_match_kernel(kernels[k]);
+                const uint64_t t0 = now_ns();
+                for (const uint64_t end = next + per_round; next < end;
+                     ++next) {
+                    detector.classify_into(
+                        requests[next % requests.size()], &out);
+                    sink += out.backward.size();
+                }
+                round_ns[k] = double(now_ns() - t0) / double(per_round);
             }
-            const uint64_t t1 = now_ns();
+            if (run_queue.ns() > waited0) continue;
+            ++result.kernel_clean_rounds;
+            for (size_t k = 0; k < kernels.size(); ++k) {
+                ns[k].push_back(round_ns[k]);
+                vs_portable[k].push_back(round_ns[k] > 0
+                                             ? round_ns[0] / round_ns[k]
+                                             : 0);
+            }
+        }
+        for (size_t k = 0; k < kernels.size(); ++k) {
             result.kernels.push_back(
-                {kernel, double(t1 - t0) / double(iters)});
+                {kernels[k], median(ns[k]), median(vs_portable[k])});
         }
         detector.set_match_kernel(sig::best_kernel());
 
@@ -307,13 +359,7 @@ run_geometry(const Geometry& geometry, uint64_t iters,
             }
         }
         result.clean_rounds = static_cast<int>(clean.size());
-        if (!clean.empty()) {
-            std::sort(clean.begin(), clean.end());
-            const size_t mid = clean.size() / 2;
-            result.pipeline_ns = clean.size() % 2
-                                     ? clean[mid]
-                                     : (clean[mid - 1] + clean[mid]) / 2;
-        }
+        result.pipeline_ns = median(clean);
         result.allocs_per_validation =
             double(allocs) / double(per_round * kRounds);
 
@@ -374,12 +420,13 @@ main(int argc, char** argv)
         csv << "window,sig_bits,hashes,reads,writes,iters,kernel,"
                "sliced_ns,scalar_ns,speedup,pipeline_validate_ns,"
                "allocs_per_validation,pipeline2_validate_ns,engine_ns,"
-               "pipeline_rounds,pipeline_clean_rounds\n";
+               "pipeline_rounds,pipeline_clean_rounds,vs_portable,"
+               "kernel_clean_rounds\n";
     }
 
-    Table table({"W", "m", "k", "kernel", "sliced ns", "scalar ns",
-                 "speedup", "engine ns", "pipeline ns", "clean rounds",
-                 "allocs/val", "2-caller ns"});
+    Table table({"W", "m", "k", "kernel", "sliced ns", "vs portable",
+                 "scalar ns", "speedup", "engine ns", "pipeline ns",
+                 "clean rounds", "allocs/val", "2-caller ns"});
     // W=64/512/4 is the paper deployment and the canary row; the other
     // two vary one axis each (signature size, multi-word columns). One
     // output row per (geometry, runtime-available match kernel).
@@ -397,11 +444,13 @@ main(int argc, char** argv)
                 .num(geometry.hashes, 0)
                 .cell(sig::to_string(t.kernel))
                 .num(t.sliced_ns, 1)
+                .num(t.vs_portable, 2)
                 .num(r.scalar_ns, 1)
                 .num(speedup, 2)
                 .num(r.engine_ns, 0)
                 .num(r.pipeline_ns, 0)
-                .cell(std::to_string(r.clean_rounds) + "/" +
+                .cell(std::to_string(r.kernel_clean_rounds) + "+" +
+                      std::to_string(r.clean_rounds) + "/" +
                       std::to_string(kRounds))
                 .num(r.allocs_per_validation, 3)
                 .num(r.pipeline2_ns, 0);
@@ -413,18 +462,23 @@ main(int argc, char** argv)
                     << speedup << ',' << r.pipeline_ns << ','
                     << r.allocs_per_validation << ',' << r.pipeline2_ns
                     << ',' << r.engine_ns << ',' << kRounds << ','
-                    << r.clean_rounds << '\n';
+                    << r.clean_rounds << ',' << t.vs_portable << ','
+                    << r.kernel_clean_rounds << '\n';
             }
         }
     }
     table.print();
     std::printf("\nThe scalar walk re-queries every window signature "
                 "(O(W*k) per address); the bit-sliced kernel loads k "
-                "occupancy columns and ANDs (O(k) words). The engine "
+                "occupancy columns and ANDs (O(k) words); sliced ns and "
+                "vs portable (its speedup over the portable bit-sliced "
+                "kernel in the same round) are medians over the clean "
+                "kernel rounds. The engine "
                 "column is ValidationEngine::process() alone. The pipeline "
                 "column is the full cross-thread validate() round trip, "
                 "the median over the clean rounds (no thread of this "
-                "process waited for a CPU); allocs/val is this binary's "
+                "process waited for a CPU); clean rounds reads kernel + "
+                "pipeline rounds; allocs/val is this binary's "
                 "global operator-new count per steady-state validation "
                 "(expected: 0); 2-caller is the round trip per call with "
                 "two callers back to back.\n");

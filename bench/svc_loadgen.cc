@@ -8,10 +8,12 @@
 /// configuration.
 ///
 /// The sweep demonstrates the batching claim: past a handful of
-/// concurrent clients, a batched engine pass (one poll()/send() per
+/// concurrent clients, a batched engine pass (one ring write per
 /// coalesced group) sustains strictly higher validation throughput than
 /// batch=1, the software analogue of amortizing CCI link latency with
 /// packed cachelines (§5.3). Results are recorded in docs/SERVICE.md.
+/// The bells/req column is the server's response-ring doorbells per
+/// request: the share of answers that found their client asleep.
 ///
 /// Stage attribution (--stages=1): every response carries the
 /// server-side stage durations, and the client derives the wire stage
@@ -19,8 +21,8 @@
 /// sum to the e2e mean by construction (the modeled CCI link latency is
 /// reported alongside but never part of the wall-clock sum). The
 /// breakdown table shows where a validation RPC spends its time:
-/// client_queue (socket-mutex contention between submitters), wire
-/// (socket + reader/poller scheduling), server_queue (arrival to engine
+/// client_queue (client-mutex contention between submitters), wire
+/// (rings + reader and server-loop scheduling), server_queue (arrival to engine
 /// pass), batch_wait (skew within one coalesced batch), engine (the
 /// validation itself).
 ///
@@ -346,6 +348,9 @@ struct SweepRow
     uint64_t rejected = 0;
     double elapsed_ms = 0;
     double kreq_s = 0;
+    /// Response-ring doorbells the server sent per request: ~0 when
+    /// the clients' waits spin, ~1 when they park (get()).
+    double bells_per_req = 0;
     uint64_t p50_ns = 0;
     uint64_t p95_ns = 0;
     uint64_t p99_ns = 0;
@@ -474,6 +479,9 @@ run_one(const LoadConfig& load, size_t clients, size_t batch,
 
     row.elapsed_ms = double(elapsed) / 1e6;
     row.kreq_s = double(row.completed) / (double(elapsed) / 1e9) / 1e3;
+    row.bells_per_req =
+        double(stats.get("svc.doorbells")) /
+        double(std::max<uint64_t>(stats.get("svc.requests"), 1));
     // Median of the per-client medians is a fair summary; max of the
     // tail quantiles is the honest tail.
     std::sort(p50s.begin(), p50s.end());
@@ -614,7 +622,8 @@ main(int argc, char** argv)
     }
 
     Table table({"clients", "batch", "kreq/s", "p50_us",
-                 "p95_us", "p99_us", "commit%", "abort%", "elapsed_ms"});
+                 "p95_us", "p99_us", "commit%", "abort%", "bells/req",
+                 "elapsed_ms"});
     std::vector<SweepRow> rows;
     for (int clients : client_counts) {
         for (int batch : batches) {
@@ -636,6 +645,7 @@ main(int argc, char** argv)
                 .num(double(row.p99_ns) / 1e3, 1)
                 .num(100.0 * double(row.commits) / done, 1)
                 .num(100.0 * double(row.aborts) / done, 1)
+                .num(row.bells_per_req, 3)
                 .num(row.elapsed_ms, 1);
         }
     }

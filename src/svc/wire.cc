@@ -198,9 +198,12 @@ FrameReader::next(bool* malformed)
     const uint32_t len = uint32_t(head[0]) | uint32_t(head[1]) << 8 |
                          uint32_t(head[2]) << 16 | uint32_t(head[3]) << 24;
     const uint8_t type = head[4];
-    if (len > kMaxPayloadBytes ||
-        type < static_cast<uint8_t>(MsgType::kRequestV2) ||
-        type > static_cast<uint8_t>(MsgType::kDumpReply)) {
+    const bool known =
+        (type >= static_cast<uint8_t>(MsgType::kRequestV2) &&
+         type <= static_cast<uint8_t>(MsgType::kDumpReply)) ||
+        type == static_cast<uint8_t>(MsgType::kAttach) ||
+        type == static_cast<uint8_t>(MsgType::kAttachReply);
+    if (len > kMaxPayloadBytes || !known) {
         if (malformed != nullptr) *malformed = true;
         return std::nullopt;
     }

@@ -25,6 +25,17 @@
 ///                 "topk": <the router's conflict top-K table>}
 ///   dump       := (empty)
 ///   dumpreply  := raw JSON bytes ({"ok": bool, "path"|"error": str})
+///   attach     := (empty)
+///   attachreply:= (empty); the socket message carries the segment's
+///                 descriptor (SCM_RIGHTS)
+///
+/// Transport. A svc::ValidationClient sends kAttach as its first and
+/// only frame on the socket; the server answers kAttachReply with a
+/// shared-memory segment (svc/ring.h), and from then on request and
+/// response frames travel through the segment's two byte rings, while
+/// the socket carries only one-byte doorbells and, at the end, EOF.
+/// A peer that never attaches (svcctl, raw-socket tests) speaks the
+/// same frames over the socket itself.
 ///
 /// Versioning: only the v2 request/response pair exists. Every peer is
 /// built from this repository, so the v1 frames (type bytes 1 and 2)
@@ -70,8 +81,9 @@
 
 namespace rococo::svc {
 
-/// Frame type tags. 1 and 2 (the retired v1 request/response) are
-/// unknown types, like anything above kDumpReply.
+/// Frame type tags. 1 and 2 (the retired v1 request/response) and 9-14
+/// (the retired per-section control ops) are unknown types, like
+/// anything above kAttachReply.
 enum class MsgType : uint8_t
 {
     kRequestV2 = 3,     ///< request + trace context
@@ -80,6 +92,8 @@ enum class MsgType : uint8_t
     kSnapshotReply = 6, ///< metrics + monitor + topk (raw JSON payload)
     kDump = 7,          ///< flight-recorder dump request (empty payload)
     kDumpReply = 8,     ///< dump reply (raw JSON: ok + path or error)
+    kAttach = 15,       ///< ask for a ring segment (empty payload)
+    kAttachReply = 16,  ///< empty; the segment's fd rides along
 };
 
 /// Fixed header preceding every payload.

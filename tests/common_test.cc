@@ -12,7 +12,6 @@
 #include "common/bitvector.h"
 #include "common/cli.h"
 #include "common/csv.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -151,70 +150,6 @@ TEST(CounterBag, BumpMergeRender)
     EXPECT_EQ(a.get("y"), 5u);
     EXPECT_EQ(a.get("z"), 0u);
     EXPECT_EQ(a.to_string(), "x=3 y=5");
-}
-
-TEST(Histogram, QuantileAndMean)
-{
-    Histogram h(0, 100, 10);
-    for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-    EXPECT_EQ(h.total(), 100u);
-    EXPECT_NEAR(h.mean(), 50.0, 0.01);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 10.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 10.0);
-}
-
-TEST(Histogram, OverflowBuckets)
-{
-    Histogram h(0, 10, 5);
-    h.add(-5);
-    h.add(100);
-    EXPECT_EQ(h.total(), 2u);
-    EXPECT_FALSE(h.to_string().empty());
-}
-
-TEST(Histogram, QuantileUnderflowReportsObservedMin)
-{
-    // All samples below lo land in the underflow bucket; quantiles must
-    // report the observed minimum, not lo itself.
-    Histogram h(0, 10, 5);
-    h.add(-7);
-    h.add(-3);
-    EXPECT_DOUBLE_EQ(h.min(), -7.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.25), -7.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), -7.0);
-}
-
-TEST(Histogram, QuantileOverflowReportsObservedMax)
-{
-    Histogram h(0, 10, 5);
-    h.add(5);
-    h.add(1000);
-    EXPECT_DOUBLE_EQ(h.max(), 1000.0);
-    // The upper quantile lands in the overflow bucket: report the true
-    // maximum, not the hi boundary.
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
-    EXPECT_GT(h.quantile(0.99), 10.0);
-}
-
-TEST(Histogram, QuantileClampsArgumentAndRange)
-{
-    Histogram h(0, 10, 5);
-    h.add(2.5);
-    h.add(7.5);
-    // Out-of-range q is clamped instead of walking off the end.
-    EXPECT_DOUBLE_EQ(h.quantile(-1.0), h.quantile(0.0));
-    EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
-    // No sample exceeds 7.5, so no quantile may either.
-    EXPECT_LE(h.quantile(1.0), 7.5);
-    EXPECT_GE(h.quantile(0.0), 2.5);
-}
-
-TEST(Histogram, QuantileEmpty)
-{
-    Histogram h(5, 10, 5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-    EXPECT_DOUBLE_EQ(h.min(), 0.0);
-    EXPECT_DOUBLE_EQ(h.max(), 0.0);
 }
 
 TEST(Table, Renders)

@@ -5,7 +5,6 @@
 
 #include "common/bitvector.h"
 #include "common/cli.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/reachability_matrix.h"
@@ -41,21 +40,6 @@ TEST(BitVectorEdge, ExactWordBoundary)
     w.set(64);
     EXPECT_EQ(w.find_first(), 64u);
     EXPECT_EQ(w.find_next(64), 128u);
-}
-
-TEST(HistogramEdge, SingleSampleQuantiles)
-{
-    Histogram h(0, 10, 5);
-    h.add(3.0);
-    EXPECT_GT(h.quantile(0.99), 0.0);
-    EXPECT_LE(h.quantile(0.99), 10.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-}
-
-TEST(HistogramEdge, EmptyQuantileIsLowerBound)
-{
-    Histogram h(5, 10, 5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
 }
 
 TEST(TableEdge, ShortRowsPadded)

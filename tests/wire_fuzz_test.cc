@@ -110,6 +110,8 @@ drain(FrameReader& reader, size_t fed_bytes)
         case MsgType::kSnapshotReply:
         case MsgType::kDump:
         case MsgType::kDumpReply:
+        case MsgType::kAttach:
+        case MsgType::kAttachReply:
             break; // empty / raw JSON payloads; nothing to decode
         }
     }
