@@ -5,13 +5,10 @@
 ///   1. classify ns/request — the column-major kernel
 ///      (ConflictDetector::classify_into) against the row-major walk
 ///      it replaced (classify_scalar), same live history, same
-///      requests. The scalar loop's fresh result vectors are part of
-///      its measured cost: that is exactly what the seed path did per
-///      request. The match kernels (portable and SIMD) are timed in
-///      kRounds interleaved rounds, each kernel once per round; a round
-///      in which the process waited for a CPU is dropped, and each
-///      kernel reports the median of its clean rounds plus the median
-///      of its per-round speedup over the portable kernel.
+///      requests, timed back to back in kRounds rounds and screened
+///      like the round trip below. The scalar loop's fresh result
+///      vectors are part of its measured cost: that is exactly what
+///      the seed path did per request.
 ///   2. engine ns/request — ValidationEngine::process() (classify,
 ///      decide, commit or abort) on a full window, from the classify
 ///      rows' request pool, each request's snapshot half a window back.
@@ -41,15 +38,11 @@
 ///   W=64/512-bit/k=4 plus two contrast points. --csv writes one row
 ///   per geometry — the input scripts/bench_summary.py --hotpath-csv
 ///   distills into BENCH_hotpath.json.
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <new>
 #include <string>
@@ -60,6 +53,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "fpga/validation_pipeline.h"
+#include "run_queue_delay.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -95,28 +89,15 @@ struct Geometry
     unsigned hashes;
 };
 
-/// Rounds of the kernel timings and of the one-caller round trip (see
-/// the file comment).
+/// Rounds of the classify timings and of the one-caller round trip
+/// (see the file comment).
 constexpr int kRounds = 25;
-
-struct KernelTiming
-{
-    sig::MatchKernel kernel;
-    /// Medians over the clean rounds (0 when none is clean): ns per
-    /// request, and this kernel's speedup over the portable kernel in
-    /// the same round.
-    double sliced_ns = 0;
-    double vs_portable = 0;
-};
 
 struct Result
 {
-    /// One timing per runtime-available match kernel (scalar always
-    /// first), same history and request stream for each, and how many
-    /// of kRounds rounds of them were clean.
-    std::vector<KernelTiming> kernels;
-    int kernel_clean_rounds = 0;
-    double scalar_ns = 0;
+    double sliced_ns = 0; ///< classify_into() per request
+    double scalar_ns = 0; ///< classify_scalar() per request
+    int classify_clean_rounds = 0; ///< of kRounds, for both classify figures
     double engine_ns = 0; ///< ValidationEngine::process() per request
     /// One caller: median per-call round trip over the clean rounds (0
     /// when none is clean), and how many of kRounds were clean.
@@ -145,54 +126,6 @@ median(std::vector<double>& values)
     return values.size() % 2 ? values[mid]
                              : (values[mid - 1] + values[mid]) / 2;
 }
-
-/// Time this process's threads have spent runnable but waiting for a
-/// CPU, in ns: the sum of field 2 of /proc/self/task/*/schedstat over
-/// the threads alive at construction. The files stay open, so a read
-/// between rounds takes microseconds and the pipeline worker keeps
-/// spinning through it instead of parking between rounds. Reads 0
-/// where the kernel does not expose the files, so then every round is
-/// clean.
-class RunQueueDelay
-{
-  public:
-    RunQueueDelay()
-    {
-        std::error_code error;
-        for (const auto& task : std::filesystem::directory_iterator(
-                 "/proc/self/task", error)) {
-            const int fd =
-                ::open((task.path() / "schedstat").c_str(), O_RDONLY);
-            if (fd >= 0) fds_.push_back(fd);
-        }
-    }
-    ~RunQueueDelay()
-    {
-        for (int fd : fds_) ::close(fd);
-    }
-    RunQueueDelay(const RunQueueDelay&) = delete;
-    RunQueueDelay& operator=(const RunQueueDelay&) = delete;
-
-    uint64_t
-    ns() const
-    {
-        uint64_t total = 0;
-        for (int fd : fds_) {
-            char text[128];
-            const ssize_t n = ::pread(fd, text, sizeof text - 1, 0);
-            if (n <= 0) continue;
-            text[n] = '\0';
-            unsigned long long on_cpu = 0, waited = 0;
-            if (std::sscanf(text, "%llu %llu", &on_cpu, &waited) == 2) {
-                total += waited;
-            }
-        }
-        return total;
-    }
-
-  private:
-    std::vector<int> fds_;
-};
 
 /// Requests drawn from one address pool, so classification hits real
 /// history entries (the emit loop runs) instead of timing the
@@ -224,7 +157,7 @@ run_geometry(const Geometry& geometry, uint64_t iters,
     Xoshiro256 rng(seed);
     std::vector<fpga::OffloadRequest> requests;
 
-    // --- classify kernels on a bare detector with a full window ---
+    // --- both classifications on a bare detector with a full window ---
     {
         auto config = std::make_shared<const sig::SignatureConfig>(
             geometry.sig_bits, geometry.hashes, seed);
@@ -245,61 +178,42 @@ run_geometry(const Geometry& geometry, uint64_t iters,
                                   geometry.window / 2, rng);
 
         core::ValidationRequest out; // reused: the zero-alloc hot path
-        const auto kernels = sig::runtime_kernels();
-        for (sig::MatchKernel kernel : kernels) {
-            detector.set_match_kernel(kernel);
-            for (const auto& request : requests) { // warm caches + capacity
-                detector.classify_into(request, &out);
-                sink += out.forward.size();
-            }
+        for (const auto& request : requests) { // warm caches + capacity
+            detector.classify_into(request, &out);
+            sink += out.forward.size();
         }
-        // Interleaved rounds: every kernel runs once per round, in an
-        // order that flips each round, so drift and steal hit them
-        // alike; a round in which this (single-threaded) process waited
-        // for a CPU is dropped as a whole.
+        // kRounds rounds of both walks back to back, so drift hits
+        // them alike; the figures are the medians of the rounds in
+        // which this thread did not wait for a CPU (of all rounds when
+        // none was clean).
         const RunQueueDelay run_queue;
         const uint64_t per_round = std::max<uint64_t>(1, iters / kRounds);
-        std::vector<std::vector<double>> ns(kernels.size());
-        std::vector<std::vector<double>> vs_portable(kernels.size());
-        std::vector<double> round_ns(kernels.size());
-        uint64_t next = 0;
+        std::vector<double> sliced, scalar, sliced_all, scalar_all;
+        uint64_t i = 0;
         for (int round = 0; round < kRounds; ++round) {
             const uint64_t waited0 = run_queue.ns();
-            for (size_t j = 0; j < kernels.size(); ++j) {
-                const size_t k = round % 2 ? kernels.size() - 1 - j : j;
-                detector.set_match_kernel(kernels[k]);
-                const uint64_t t0 = now_ns();
-                for (const uint64_t end = next + per_round; next < end;
-                     ++next) {
-                    detector.classify_into(
-                        requests[next % requests.size()], &out);
-                    sink += out.backward.size();
-                }
-                round_ns[k] = double(now_ns() - t0) / double(per_round);
+            const uint64_t s0 = now_ns();
+            for (const uint64_t end = i + per_round; i < end; ++i) {
+                detector.classify_into(requests[i % requests.size()], &out);
+                sink += out.backward.size();
             }
-            if (run_queue.ns() > waited0) continue;
-            ++result.kernel_clean_rounds;
-            for (size_t k = 0; k < kernels.size(); ++k) {
-                ns[k].push_back(round_ns[k]);
-                vs_portable[k].push_back(round_ns[k] > 0
-                                             ? round_ns[0] / round_ns[k]
-                                             : 0);
+            const uint64_t s1 = now_ns();
+            for (uint64_t j = i - per_round; j < i; ++j) {
+                const core::ValidationRequest walked =
+                    detector.classify_scalar(requests[j % requests.size()]);
+                sink += walked.backward.size();
+            }
+            const uint64_t s2 = now_ns();
+            sliced_all.push_back(double(s1 - s0) / double(per_round));
+            scalar_all.push_back(double(s2 - s1) / double(per_round));
+            if (run_queue.ns() <= waited0) {
+                sliced.push_back(sliced_all.back());
+                scalar.push_back(scalar_all.back());
             }
         }
-        for (size_t k = 0; k < kernels.size(); ++k) {
-            result.kernels.push_back(
-                {kernels[k], median(ns[k]), median(vs_portable[k])});
-        }
-        detector.set_match_kernel(sig::best_kernel());
-
-        const uint64_t t0 = now_ns();
-        for (uint64_t i = 0; i < iters; ++i) {
-            const core::ValidationRequest scalar =
-                detector.classify_scalar(requests[i % requests.size()]);
-            sink += scalar.backward.size();
-        }
-        const uint64_t t1 = now_ns();
-        result.scalar_ns = double(t1 - t0) / double(iters);
+        result.classify_clean_rounds = static_cast<int>(sliced.size());
+        result.sliced_ns = median(sliced.empty() ? sliced_all : sliced);
+        result.scalar_ns = median(scalar.empty() ? scalar_all : scalar);
     }
 
     fpga::EngineConfig config;
@@ -417,68 +331,58 @@ main(int argc, char** argv)
     std::ofstream csv;
     if (!csv_path.empty()) {
         csv.open(csv_path);
-        csv << "window,sig_bits,hashes,reads,writes,iters,kernel,"
+        csv << "window,sig_bits,hashes,reads,writes,iters,"
                "sliced_ns,scalar_ns,speedup,pipeline_validate_ns,"
                "allocs_per_validation,pipeline2_validate_ns,engine_ns,"
-               "pipeline_rounds,pipeline_clean_rounds,vs_portable,"
-               "kernel_clean_rounds\n";
+               "pipeline_rounds,pipeline_clean_rounds,"
+               "classify_clean_rounds\n";
     }
 
-    Table table({"W", "m", "k", "kernel", "sliced ns", "vs portable",
-                 "scalar ns", "speedup", "engine ns", "pipeline ns",
-                 "clean rounds", "allocs/val", "2-caller ns"});
+    Table table({"W", "m", "k", "sliced ns", "scalar ns", "speedup",
+                 "classify clean", "engine ns", "pipeline ns",
+                 "pipeline clean", "allocs/val", "2-caller ns"});
     // W=64/512/4 is the paper deployment and the canary row; the other
-    // two vary one axis each (signature size, multi-word columns). One
-    // output row per (geometry, runtime-available match kernel).
+    // two vary one axis each (signature size, multi-word columns).
     for (const Geometry& geometry : {Geometry{64, 512, 4},
                                      Geometry{64, 256, 4},
                                      Geometry{128, 512, 4}}) {
         const Result r = run_geometry(geometry, iters, pipeline_iters,
                                       reads, writes, pool, seed);
-        for (const KernelTiming& t : r.kernels) {
-            const double speedup =
-                t.sliced_ns > 0 ? r.scalar_ns / t.sliced_ns : 0;
-            table.row()
-                .num(geometry.window, 0)
-                .num(geometry.sig_bits, 0)
-                .num(geometry.hashes, 0)
-                .cell(sig::to_string(t.kernel))
-                .num(t.sliced_ns, 1)
-                .num(t.vs_portable, 2)
-                .num(r.scalar_ns, 1)
-                .num(speedup, 2)
-                .num(r.engine_ns, 0)
-                .num(r.pipeline_ns, 0)
-                .cell(std::to_string(r.kernel_clean_rounds) + "+" +
-                      std::to_string(r.clean_rounds) + "/" +
-                      std::to_string(kRounds))
-                .num(r.allocs_per_validation, 3)
-                .num(r.pipeline2_ns, 0);
-            if (csv.is_open()) {
-                csv << geometry.window << ',' << geometry.sig_bits << ','
-                    << geometry.hashes << ',' << reads << ',' << writes
-                    << ',' << iters << ',' << sig::to_string(t.kernel)
-                    << ',' << t.sliced_ns << ',' << r.scalar_ns << ','
-                    << speedup << ',' << r.pipeline_ns << ','
-                    << r.allocs_per_validation << ',' << r.pipeline2_ns
-                    << ',' << r.engine_ns << ',' << kRounds << ','
-                    << r.clean_rounds << ',' << t.vs_portable << ','
-                    << r.kernel_clean_rounds << '\n';
-            }
+        const double speedup = r.sliced_ns > 0 ? r.scalar_ns / r.sliced_ns : 0;
+        table.row()
+            .num(geometry.window, 0)
+            .num(geometry.sig_bits, 0)
+            .num(geometry.hashes, 0)
+            .num(r.sliced_ns, 1)
+            .num(r.scalar_ns, 1)
+            .num(speedup, 2)
+            .cell(std::to_string(r.classify_clean_rounds) + "/" +
+                  std::to_string(kRounds))
+            .num(r.engine_ns, 0)
+            .num(r.pipeline_ns, 0)
+            .cell(std::to_string(r.clean_rounds) + "/" +
+                  std::to_string(kRounds))
+            .num(r.allocs_per_validation, 3)
+            .num(r.pipeline2_ns, 0);
+        if (csv.is_open()) {
+            csv << geometry.window << ',' << geometry.sig_bits << ','
+                << geometry.hashes << ',' << reads << ',' << writes << ','
+                << iters << ',' << r.sliced_ns << ',' << r.scalar_ns << ','
+                << speedup << ',' << r.pipeline_ns << ','
+                << r.allocs_per_validation << ',' << r.pipeline2_ns << ','
+                << r.engine_ns << ',' << kRounds << ',' << r.clean_rounds
+                << ',' << r.classify_clean_rounds << '\n';
         }
     }
     table.print();
     std::printf("\nThe scalar walk re-queries every window signature "
                 "(O(W*k) per address); the bit-sliced kernel loads k "
-                "occupancy columns and ANDs (O(k) words); sliced ns and "
-                "vs portable (its speedup over the portable bit-sliced "
-                "kernel in the same round) are medians over the clean "
-                "kernel rounds. The engine "
+                "occupancy columns and ANDs (O(k) words); both are the "
+                "median over the classify clean rounds. The engine "
                 "column is ValidationEngine::process() alone. The pipeline "
                 "column is the full cross-thread validate() round trip, "
                 "the median over the clean rounds (no thread of this "
-                "process waited for a CPU); clean rounds reads kernel + "
-                "pipeline rounds; allocs/val is this binary's "
+                "process waited for a CPU); allocs/val is this binary's "
                 "global operator-new count per steady-state validation "
                 "(expected: 0); 2-caller is the round trip per call with "
                 "two callers back to back.\n");

@@ -20,6 +20,10 @@
 ///     store, preceded by a load phase that populates every key. The
 ///     kv.* metric invariant (sum of kv.ops.* == kv.txn.commits) is
 ///     asserted after each engine run — any violation exits 1.
+///     --engine=both runs the two engines in kBothRounds rounds, on a
+///     fresh store each time and in an order that flips every round;
+///     each row records the round and the run-queue delay its threads
+///     gained, so a round the host stole a CPU from can be dropped.
 ///
 ///   * --service: the millions-of-users shape. The parent hosts one
 ///     sharded svc::Server (--shards, default 2) and forks --clients
@@ -78,6 +82,7 @@
 #include "obs/clock.h"
 #include "obs/registry.h"
 #include "obs/telemetry.h"
+#include "run_queue_delay.h"
 #include "svc/client.h"
 #include "svc/server.h"
 
@@ -161,10 +166,21 @@ struct OpStat
     uint64_t p99_ns = 0;
 };
 
+/// Alternating rounds of --engine=both: the OCC/2PL ratio is the
+/// median of the per-round ratios over the rounds the host did not
+/// steal from (scripts/bench_summary.py --ycsb-csv).
+constexpr unsigned kBothRounds = 11;
+
 struct EngineRow
 {
     char workload = '?';
     std::string engine;
+    unsigned round = 0;
+    /// Run-queue delay the process's threads gained in the measured
+    /// phase (0: no thread waited for a CPU).
+    uint64_t run_queue_ns = 0;
+    /// CPUs the process may run on (affinity mask).
+    unsigned cpus = 0;
     double zipf = 0;
     unsigned threads = 0;
     uint64_t keys = 0;
@@ -264,7 +280,7 @@ run_worker(kv::KvInterface& store, const RunConfig& cfg,
 
 EngineRow
 run_engine(kv::KvInterface& store, const std::string& engine,
-           const RunConfig& cfg, const ZipfSampler* zipf)
+           unsigned round, const RunConfig& cfg, const ZipfSampler* zipf)
 {
     // Load phase: populate the whole key space so reads mostly hit.
     store.thread_init(0);
@@ -298,10 +314,17 @@ run_engine(kv::KvInterface& store, const std::string& engine,
         workers.emplace_back([&, t] {
             run_worker(store, cfg, zipf, t, per_thread, barrier,
                        stats[t]);
+            barrier.arrive_and_wait(); // still alive for the delay read
         });
     }
+    // Every thread of the measured phase exists now: the workers wait
+    // at the barrier, the store's own threads were started with it.
+    const RunQueueDelay run_queue;
+    const uint64_t waited0 = run_queue.ns();
     barrier.arrive_and_wait();
     const uint64_t t0 = obs::now_ns();
+    barrier.arrive_and_wait();
+    const uint64_t waited1 = run_queue.ns();
     for (std::thread& worker : workers) worker.join();
     const uint64_t elapsed = obs::now_ns() - t0;
 
@@ -325,6 +348,9 @@ run_engine(kv::KvInterface& store, const std::string& engine,
     EngineRow row;
     row.workload = cfg.workload;
     row.engine = engine;
+    row.round = round;
+    row.run_queue_ns = waited1 - waited0;
+    row.cpus = affinity_cpus();
     row.zipf = cfg.zipf;
     row.threads = cfg.threads;
     row.keys = cfg.keys;
@@ -718,10 +744,13 @@ main(int argc, char** argv)
         zipfs.resize(1);
     }
 
-    Table table({"workload", "engine", "zipf", "threads", "kops/s",
+    Table table({"workload", "engine", "round", "zipf", "threads", "kops/s",
                  "abort%", "retries", "collisions", "get_p99_us",
                  "put_p99_us", "rmw_p99_us", "scan_p99_us",
-                 "elapsed_ms"});
+                 "elapsed_ms", "run_queue_us"});
+    // Both engines alternate their order from round to round, so drift
+    // hits them alike; one engine runs once.
+    const unsigned rounds = engines.size() > 1 ? kBothRounds : 1;
     std::vector<EngineRow> rows;
     bool first_run = true;
     bool key_map_written = false;
@@ -735,7 +764,12 @@ main(int argc, char** argv)
             const std::unique_ptr<ZipfSampler> sampler =
                 zipf > 0 ? std::make_unique<ZipfSampler>(cfg.keys, zipf)
                          : nullptr;
-            for (const std::string& engine : engines) {
+            for (size_t run = 0; run < rounds * engines.size(); ++run) {
+                const unsigned round =
+                    static_cast<unsigned>(run / engines.size());
+                const size_t nth = run % engines.size();
+                const std::string& engine =
+                    engines[round % 2 ? engines.size() - 1 - nth : nth];
                 // Construct the session before the store so the
                 // registry/tracer reset covers exactly this run.
                 std::unique_ptr<obs::TelemetrySession> session;
@@ -758,12 +792,13 @@ main(int argc, char** argv)
                         store_config);
                     store = pessimistic.get();
                 }
-                rows.push_back(
-                    run_engine(*store, engine, cfg, sampler.get()));
+                rows.push_back(run_engine(*store, engine, round, cfg,
+                                          sampler.get()));
                 const EngineRow& row = rows.back();
                 table.row()
                     .cell(std::string(1, row.workload))
                     .cell(row.engine)
+                    .num(static_cast<uint64_t>(row.round))
                     .num(row.zipf, 2)
                     .num(static_cast<uint64_t>(row.threads))
                     .num(row.kops_s, 1)
@@ -774,7 +809,8 @@ main(int argc, char** argv)
                     .num(double(row.op[kv::kOpPut].p99_ns) / 1e3, 1)
                     .num(double(row.op[kv::kOpRmw].p99_ns) / 1e3, 1)
                     .num(double(row.op[kv::kOpScan].p99_ns) / 1e3, 1)
-                    .num(row.elapsed_ms, 1);
+                    .num(row.elapsed_ms, 1)
+                    .num(double(row.run_queue_ns) / 1e3, 1);
 
                 if (session) {
                     obs::Registry::global().merge(store->metrics());
@@ -818,10 +854,11 @@ main(int argc, char** argv)
     const std::string csv_path = cli.get("csv", "");
     if (!csv_path.empty()) {
         std::vector<std::string> header = {
-            "workload",   "engine",  "zipf",       "threads",
-            "keys",       "capacity", "ops",       "elapsed_ms",
-            "kops_s",     "commits", "aborts",     "retries",
-            "abort_rate", "key_collisions"};
+            "workload",   "engine",     "round",   "run_queue_ns",
+            "cpus",       "zipf",       "threads", "keys",
+            "capacity",   "ops",        "elapsed_ms", "kops_s",
+            "commits",    "aborts",     "retries", "abort_rate",
+            "key_collisions"};
         for (int op = 0; op < kOpCount; ++op) {
             const std::string prefix = kOpNames[op];
             header.push_back(prefix + "_count");
@@ -835,6 +872,9 @@ main(int argc, char** argv)
             std::vector<std::string> cells = {
                 std::string(1, row.workload),
                 row.engine,
+                std::to_string(row.round),
+                std::to_string(row.run_queue_ns),
+                std::to_string(row.cpus),
                 std::to_string(row.zipf),
                 std::to_string(row.threads),
                 std::to_string(row.keys),

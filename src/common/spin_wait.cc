@@ -25,4 +25,14 @@ spin_allowed()
     return allowed;
 }
 
+namespace {
+
+// Read the mask when the library loads, while the main thread still
+// carries the one the process was started with. The first caller would
+// otherwise decide for the whole process: a thread that pinned itself
+// to one CPU of many would switch spinning off everywhere.
+[[maybe_unused]] const bool g_spin_allowed_at_load = spin_allowed();
+
+} // namespace
+
 } // namespace rococo

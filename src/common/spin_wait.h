@@ -47,8 +47,9 @@ cpu_relax()
 #endif
 }
 
-/// True when the process may run on more than one CPU (the affinity
-/// mask is read once).
+/// True when the process may run on more than one CPU. The affinity
+/// mask is read once, when the library loads, so a thread that pins
+/// itself later does not change the answer.
 bool spin_allowed();
 
 /// Spin until ready() holds, kSpinBudget elapses or @p deadline passes,

@@ -11,8 +11,8 @@ ConflictDetector::ConflictDetector(
     size_t window, std::shared_ptr<const sig::SignatureConfig> config)
     : window_(window), config_(std::move(config)),
       read_plane_(window, config_), write_plane_(window, config_),
-      cids_(window, 0), scratch_(2 * read_plane_.mask_words(), 0),
-      classify_fn_(sig::classify_kernel_fn(read_plane_.kernel()))
+      cids_(window, 0),
+      scratch_(2 * read_plane_.mask_words() + config_->k(), 0)
 {
     ROCOCO_CHECK(window_ > 0);
 }
@@ -47,13 +47,47 @@ ConflictDetector::classify_into(const OffloadRequest& request,
     //       (W_c ∩ R — the forward-or-RAW edge, split by snapshot)
     //   wr: slots whose committed write or read set may intersect our
     //       writes (WAW | WAR — always backward)
-    const size_t mask_words = read_plane_.mask_words();
+    // Each address is hashed once, before its column words are walked,
+    // and both planes share one hash family, so a write's k offsets
+    // serve both. All k loads of an address are issued: ANDing more columns
+    // into a zero word keeps it zero, and a branch on each load would
+    // mispredict whenever matches are sparse.
+    const sig::SignatureConfig& config = *config_;
+    const unsigned k = config.k();
+    const size_t words = read_plane_.mask_words();
+    const uint64_t* read_columns = read_plane_.columns();
+    const uint64_t* write_columns = write_plane_.columns();
     uint64_t* rd = scratch_.data();
-    uint64_t* wr = scratch_.data() + mask_words;
-    std::memset(rd, 0, 2 * mask_words * sizeof(uint64_t));
-    classify_fn_(read_plane_.view(), write_plane_.view(),
-                 request.reads.data(), request.reads.size(),
-                 request.writes.data(), request.writes.size(), rd, wr);
+    uint64_t* wr = scratch_.data() + words;
+    uint64_t* at = scratch_.data() + 2 * words; // a key's k column offsets
+    std::memset(rd, 0, 2 * words * sizeof(uint64_t));
+    auto hash = [&](uint64_t key) {
+        for (unsigned i = 0; i < k; ++i) {
+            at[i] = config.bit_index(key, i) * words;
+        }
+    };
+    for (uint64_t key : request.reads) {
+        hash(key);
+        for (size_t w = 0; w < words; ++w) {
+            uint64_t m = ~uint64_t{0};
+            for (unsigned i = 0; i < k; ++i) {
+                m &= write_columns[at[i] + w];
+            }
+            rd[w] |= m;
+        }
+    }
+    for (uint64_t key : request.writes) {
+        hash(key);
+        for (size_t w = 0; w < words; ++w) {
+            uint64_t waw = ~uint64_t{0};
+            uint64_t war = ~uint64_t{0};
+            for (unsigned i = 0; i < k; ++i) {
+                waw &= write_columns[at[i] + w];
+                war &= read_columns[at[i] + w];
+            }
+            wr[w] |= waw | war;
+        }
+    }
 
     // Emit cids oldest-first (the order the row-major walk produced):
     // the ring is two ascending slot ranges, and within each the set
@@ -178,14 +212,6 @@ uint64_t
 ConflictDetector::history_start() const
 {
     return size_ == 0 ? 0 : cids_[head_];
-}
-
-void
-ConflictDetector::set_match_kernel(sig::MatchKernel kernel)
-{
-    read_plane_.set_kernel(kernel);
-    write_plane_.set_kernel(kernel);
-    classify_fn_ = sig::classify_kernel_fn(kernel);
 }
 
 } // namespace rococo::fpga

@@ -99,13 +99,6 @@ class ConflictDetector
 
     size_t history_size() const { return size_; }
 
-    /// Force both planes onto a specific match kernel (tests force each
-    /// compiled kernel against the scalar oracle; benchmarks report a
-    /// row per kernel). Defaults to the widest the CPU supports.
-    void set_match_kernel(sig::MatchKernel kernel);
-
-    sig::MatchKernel match_kernel() const { return read_plane_.kernel(); }
-
   private:
     size_t window_;
     std::shared_ptr<const sig::SignatureConfig> config_;
@@ -114,11 +107,10 @@ class ConflictDetector
     std::vector<uint64_t> cids_; ///< per-slot cid of the resident commit
     size_t head_ = 0;            ///< slot of the oldest entry
     size_t size_ = 0;            ///< occupied slots
-    /// Match accumulators (2 x mask_words), reused across classify
-    /// calls; mutable because classification is logically const.
+    /// Match accumulators (2 x mask_words) and one key's k column
+    /// offsets, reused across classify calls; mutable because
+    /// classification is logically const.
     mutable std::vector<uint64_t> scratch_;
-    /// Fused two-plane kernel for the selected MatchKernel.
-    sig::ClassifyFn classify_fn_;
 };
 
 } // namespace rococo::fpga

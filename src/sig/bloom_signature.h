@@ -7,8 +7,9 @@
 /// function i sets one bit in partition i per inserted element. The type
 /// supports the four operations the paper relies on: insertion,
 /// membership query, set union and set intersection — all as bitwise
-/// operations, which is what makes the scheme implementable both with
-/// AVX on the CPU and as wired logic on the FPGA.
+/// operations, which is what makes the scheme cheap on the CPU (a few
+/// word operations per element) and implementable as wired logic on
+/// the FPGA.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +46,6 @@ class SignatureConfig
         return static_cast<uint64_t>(i) * partition_bits() +
                hasher_.hash(key, i);
     }
-
-    /// The shared hash family (multipliers + shift), for SIMD kernels
-    /// that recompute bit_index() lane-parallel.
-    const MultiplyShiftHasher& hasher() const { return hasher_; }
 
   private:
     unsigned m_;

@@ -35,13 +35,6 @@ class MultiplyShiftHasher
         return (multipliers_[i] * key) >> (64 - log_buckets_);
     }
 
-    /// The k odd multipliers, for kernels that vectorize the family
-    /// (sig/sliced_kernels.cc computes hash() lane-parallel).
-    const uint64_t* multiplier_data() const { return multipliers_.data(); }
-
-    /// The right-shift hash() applies: 64 - log2(buckets).
-    unsigned shift() const { return 64 - log_buckets_; }
-
   private:
     std::vector<uint64_t> multipliers_;
     unsigned log_buckets_;

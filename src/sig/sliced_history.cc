@@ -11,18 +11,9 @@ SlicedSignatureHistory::SlicedSignatureHistory(
     : config_(std::move(config)), slots_(slots),
       mask_words_((slots + 63) / 64),
       columns_(static_cast<size_t>(config_->m()) * mask_words_, 0),
-      rows_(slots * config_->words(), 0), kernel_(best_kernel()),
-      match_fn_(kernel_fn(kernel_))
+      rows_(slots * config_->words(), 0)
 {
     ROCOCO_CHECK(slots_ > 0);
-}
-
-void
-SlicedSignatureHistory::set_kernel(MatchKernel kernel)
-{
-    ROCOCO_CHECK(kernel_available(kernel));
-    kernel_ = kernel;
-    match_fn_ = kernel_fn(kernel);
 }
 
 void
@@ -68,39 +59,6 @@ SlicedSignatureHistory::query(size_t slot, uint64_t key) const
         if (!((row[bit >> 6] >> (bit & 63)) & 1)) return false;
     }
     return true;
-}
-
-void
-SlicedSignatureHistory::match(uint64_t key, uint64_t* acc) const
-{
-    const unsigned k = config_->k();
-    if (mask_words_ == 1) {
-        // W <= 64: the whole match vector is one register — the k-way
-        // column AND is the software rendering of the comparator array.
-        uint64_t m = columns_[config_->bit_index(key, 0)];
-        for (unsigned i = 1; m != 0 && i < k; ++i) {
-            m &= columns_[config_->bit_index(key, i)];
-        }
-        acc[0] |= m;
-        return;
-    }
-    for (size_t w = 0; w < mask_words_; ++w) {
-        uint64_t m = columns_[config_->bit_index(key, 0) * mask_words_ + w];
-        for (unsigned i = 1; m != 0 && i < k; ++i) {
-            m &= columns_[config_->bit_index(key, i) * mask_words_ + w];
-        }
-        acc[w] |= m;
-    }
-}
-
-void
-SlicedSignatureHistory::match_any(std::span<const uint64_t> keys,
-                                  uint64_t* acc) const
-{
-    // The view is rebuilt per call (six scalar stores — noise next to
-    // the gathers) so moves/copies of the history can never leave a
-    // kernel reading a stale columns pointer.
-    match_fn_(view(), keys.data(), keys.size(), acc);
 }
 
 } // namespace rococo::sig

@@ -26,11 +26,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "sig/bloom_signature.h"
-#include "sig/sliced_kernels.h"
 
 namespace rococo::sig {
 
@@ -62,55 +60,19 @@ class SlicedSignatureHistory
     /// signature bits for @p key are set in @p slot's row image.
     bool query(size_t slot, uint64_t key) const;
 
-    /// acc |= match(key): OR the W-bit column-AND match vector of
-    /// @p key into @p acc (mask_words() words).
-    void match(uint64_t key, uint64_t* acc) const;
-
-    /// acc |= OR over keys of match(key). Runs the selected SIMD kernel
-    /// (sig/sliced_kernels.h); defaults to the widest one this CPU
-    /// supports.
-    void match_any(std::span<const uint64_t> keys, uint64_t* acc) const;
-
-    /// Force a specific match kernel (tests, benchmarks). Checks the
-    /// kernel is compiled in and executable on this CPU.
-    void set_kernel(MatchKernel kernel);
-
-    MatchKernel kernel() const { return kernel_; }
-
-    /// Borrowed kernel view of this plane (valid while the history
-    /// lives and is not reassigned) — what the fused two-plane
-    /// classification kernels consume (sig/sliced_kernels.h).
-    SlicedView
-    view() const
-    {
-        return {columns_.data(),
-                mask_words_,
-                config_->k(),
-                config_->partition_bits(),
-                config_->hasher().shift(),
-                config_->hasher().multiplier_data()};
-    }
-
-    /// Raw word @p w of the occupancy column for signature bit @p bit
-    /// (diagnostics / tests).
-    uint64_t
-    column_word(size_t bit, size_t w) const
-    {
-        return columns_[bit * mask_words_ + w];
-    }
+    /// The occupancy columns, column-major: word w of the column for
+    /// signature bit `bit` is columns()[bit * mask_words() + w], and
+    /// holds slots [64w, 64w+63]. What the detector's match phase ANDs.
+    const uint64_t* columns() const { return columns_.data(); }
 
   private:
     std::shared_ptr<const SignatureConfig> config_;
     size_t slots_;
     size_t mask_words_;
-    /// Column-major: columns_[bit * mask_words_ + w] holds slots
-    /// [64w, 64w+63] of signature bit position `bit`.
-    std::vector<uint64_t> columns_;
+    std::vector<uint64_t> columns_; ///< see columns()
     /// Row-major shadow: rows_[slot * config.words() + w] is word w of
     /// slot's signature — what BloomSignature::words() would hold.
     std::vector<uint64_t> rows_;
-    MatchKernel kernel_;
-    MatchAnyFn match_fn_;
 };
 
 } // namespace rococo::sig

@@ -1,6 +1,8 @@
 /// Unit tests for src/common: bit containers, stats, histogram, table,
 /// CLI, RNG, barrier and blocking queue.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <chrono>
 #include <fstream>
@@ -13,6 +15,7 @@
 #include "common/cli.h"
 #include "common/csv.h"
 #include "common/rng.h"
+#include "common/spin_wait.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/zipf.h"
@@ -323,6 +326,31 @@ TEST(CsvWriter, BadPathIsNoOp)
     CsvWriter csv("/nonexistent-dir/x.csv", {"a"});
     EXPECT_FALSE(csv.ok());
     csv.write_row({"ignored"});
+}
+
+TEST(SpinWait, AllowedDescribesTheProcessNotItsFirstCaller)
+{
+    // Nothing in this test calls spin_allowed() before the pinned
+    // thread does, so that thread is the first caller in the process.
+    cpu_set_t process;
+    CPU_ZERO(&process);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+    if (CPU_COUNT(&process) < 2) GTEST_SKIP() << "process may use one CPU";
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &process)) ++cpu;
+    bool pinned = false;
+    bool allowed = false;
+    std::thread first([&] {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        pinned =
+            pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+        allowed = spin_allowed();
+    });
+    first.join();
+    ASSERT_TRUE(pinned);
+    EXPECT_TRUE(allowed);
 }
 
 } // namespace

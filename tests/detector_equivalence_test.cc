@@ -5,13 +5,9 @@
 /// BloomSignature pairs must agree bit for bit — same cids, same
 /// forward/backward split, same order — across geometries, key
 /// distributions (uniform and zipf), snapshot positions and forced
-/// window evictions. Every runtime-available SIMD match kernel
-/// (sig/sliced_kernels.h) is forced in turn and held to the same
-/// bit-for-bit standard, so the AVX2/AVX-512 gather-and-AND paths are
-/// proven against the scalar oracle on every fuzz input. Runs under
-/// ASan/TSan/UBSan with the rest of the suite, so the kernels' index
-/// arithmetic is sanitizer-proven on the same inputs that prove their
-/// decisions.
+/// window evictions. Runs under ASan/TSan/UBSan with the rest of the
+/// suite, so the column walk's index arithmetic is sanitizer-proven on
+/// the same inputs that prove its decisions.
 
 #include <gtest/gtest.h>
 
@@ -151,17 +147,12 @@ random_request(std::mt19937_64& rng, ZipfSampler& zipf,
 void
 expect_identical(const core::ValidationRequest& sliced,
                  const core::ValidationRequest& scalar,
-                 const core::ValidationRequest& reference, size_t iter,
-                 const char* kernel = "default")
+                 const core::ValidationRequest& reference, size_t iter)
 {
-    EXPECT_EQ(sliced.forward, scalar.forward)
-        << "iter " << iter << " kernel " << kernel;
-    EXPECT_EQ(sliced.backward, scalar.backward)
-        << "iter " << iter << " kernel " << kernel;
-    EXPECT_EQ(sliced.forward, reference.forward)
-        << "iter " << iter << " kernel " << kernel;
-    EXPECT_EQ(sliced.backward, reference.backward)
-        << "iter " << iter << " kernel " << kernel;
+    EXPECT_EQ(sliced.forward, scalar.forward) << "iter " << iter;
+    EXPECT_EQ(sliced.backward, scalar.backward) << "iter " << iter;
+    EXPECT_EQ(sliced.forward, reference.forward) << "iter " << iter;
+    EXPECT_EQ(sliced.backward, reference.backward) << "iter " << iter;
 }
 
 /// Drive a bare detector: every iteration classifies three ways and
@@ -191,17 +182,11 @@ fuzz_detector(const FuzzParams& params)
             detector.history_start() > 4 ? detector.history_start() - 4 : 0;
         request.snapshot_cid = lo + rng() % (next_cid - lo + 3);
 
-        // Every runtime-available kernel classifies the same request
-        // against the same history and must agree with the row-major
-        // oracle and the independent reference bit for bit.
-        const core::ValidationRequest scalar =
-            detector.classify_scalar(request);
-        const core::ValidationRequest ref = reference.classify(request);
-        for (sig::MatchKernel kernel : sig::runtime_kernels()) {
-            detector.set_match_kernel(kernel);
-            expect_identical(detector.classify(request), scalar, ref, iter,
-                             sig::to_string(kernel));
-        }
+        // The bit-sliced walk must agree with the row-major oracle and
+        // the independent reference bit for bit.
+        expect_identical(detector.classify(request),
+                         detector.classify_scalar(request),
+                         reference.classify(request), iter);
 
         if (rng() % 4 != 0) { // commit 3 of 4 — overruns W repeatedly
             next_cid += 1 + rng() % 3;
@@ -243,9 +228,8 @@ TEST(DetectorEquivalence, TinyWindowTinySignature)
 
 TEST(DetectorEquivalence, WideColumnsWindow300)
 {
-    // W=300: five-word occupancy columns — exercises the SIMD wide
-    // paths (full vector words plus a masked/scalar word tail) instead
-    // of the one-register batched path.
+    // W=300: five-word occupancy columns — the multi-word walk, with
+    // a last word only partly occupied.
     fuzz_detector({300, 256, 4, 2048, true, 6});
 }
 

@@ -1641,8 +1641,9 @@ TEST(SvcClient, ServerShutdownResolvesOutstandingFutures)
 /// to another CPU, so that it is not queued behind the spinning reader.
 TEST(SvcClient, ClosedWordRejectsASpinningReader)
 {
-    // Before the pinning below: spin_allowed() reads the affinity mask
-    // once, and a caller pinned to one CPU would never spin.
+    // spin_allowed() describes the process's mask from before any
+    // pinning, so the reader pinned below still spins; a process that
+    // may use one CPU never does.
     if (!spin_allowed()) GTEST_SKIP() << "one CPU: readers never spin";
     cpu_set_t allowed;
     CPU_ZERO(&allowed);
